@@ -13,6 +13,7 @@ from .trees import (
     delete_leaf,
     strip_root,
     contract_path,
+    reductions,
     equal,
     random_tree,
 )

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every verb maps onto one library operation and writes machine-stable
-output: identical argument vectors (including seeds and --jobs) produce
-byte-identical stdout.  Domain failures (bad tree text, exceeded guards)
-exit 1 with a one-line diagnostic on stderr; usage errors exit 2.
+output: identical argument vectors (including seeds) produce
+byte-identical stdout.  ``--jobs`` is still accepted and has no effect.
+Domain failures (bad tree text, exceeded guards) exit 1 with a one-line
+diagnostic on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Signed plane trees, their minor order, and invariants of "
         "the Hopf-plumbed surfaces they encode.",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for pairwise sweeps")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; sweeps run in one process")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def add_tree_input(sp):
@@ -155,8 +156,9 @@ def _dispatch(args) -> int:
         print("true" if embedding.oracle_embeds(sub, sup, max_size=guard) else "false")
     elif args.verb == "poset":
         guard = _guard(args, minors.DEFAULT_POSET_GUARD)
+        minors.check_guard(args.max_size, guard)
         u = minors.universe(args.max_size)
-        report = minors.poset(u, max_nmax=guard, jobs=args.jobs)
+        report = minors.poset(u, max_nmax=guard)
         if args.dot:
             _write_output(args.dot, minors.poset_to_dot(u, report))
         if args.csv:
@@ -170,10 +172,8 @@ def _dispatch(args) -> int:
             print(t.text)
     elif args.verb == "audit":
         guard = _guard(args, minors.DEFAULT_POSET_GUARD)
+        violations = minors.audit_monotone(args.quantity, args.max_size, max_nmax=guard)
         u = minors.universe(args.max_size)
-        violations = minors.audit_monotone(
-            args.quantity, args.max_size, max_nmax=guard, jobs=args.jobs
-        )
         for i, j in violations:
             print(f"{u.trees[i].text}\t{u.trees[j].text}")
         print(f"violations: {len(violations)}")

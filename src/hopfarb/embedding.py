@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import PlaneTree, contract_path, delete_leaf, strip_root
+from .trees import PlaneTree, reductions
 
 __all__ = [
     "EmbeddingWitness",
@@ -31,13 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_GUARD = 8
-
-
-def _label_fits(small: int, large: int) -> bool:
-    # Hook for ordered label alphabets: a vertex may map onto one whose
-    # label dominates its own.  The sign alphabet {+1, -1} carries the
-    # empty order, so reduction degenerates to equality.
-    return small == large
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ def _embedding_tables(t1: PlaneTree, t2: PlaneTree):
         lv = lab2[v]
         for u in reversed(order1):
             e = False
-            if _label_fits(lab1[u], lv):
+            if lab1[u] == lv:
                 cu = ch1[u]
                 if not cu:
                     e = True
@@ -230,22 +223,6 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _one_step_reductions(t: PlaneTree):
-    if t.size > 1:
-        for v in range(t.size):
-            if t.is_leaf(v):
-                yield delete_leaf(t, v)
-    if len(t.children[t.root]) == 1:
-        yield strip_root(t)
-    for u in range(t.size):
-        for c in t.children[u]:
-            interior = c
-            while len(t.children[interior]) == 1:
-                w = t.children[interior][0]
-                yield contract_path(t, u, w)
-                interior = w
-
-
 def operation_closure(t: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> frozenset[str]:
     """Canonical texts of every tree reachable from ``t`` by the reductions.
 
@@ -262,7 +239,7 @@ def operation_closure(t: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> fro
     frontier = [t]
     while frontier:
         cur = frontier.pop()
-        for nxt in _one_step_reductions(cur):
+        for nxt in reductions(cur):
             if nxt.text not in seen:
                 seen.add(nxt.text)
                 frontier.append(nxt)

@@ -10,16 +10,19 @@ quantities that are expected to be monotone along the order (genus,
 Betti number) and groups same-size trees by their invariant fingerprint
 as a stand-in for boundary-link equivalence.
 
-Pairwise embedding tests dominate the cost and grow quadratically with
-the universe, hence the size guard (default 6, about 3.5k trees).  All
-outputs are deterministic: trees are ordered by the enumeration, pair
-lists lexicographically, mined families by canonical text.
+The order is generated by the one-vertex reductions of
+:func:`hopfarb.trees.reductions`: they are its covers, and a walk in
+enumeration (hence size) order accumulates every tree's strict down-set
+from those of its reductions.  The relation table still grows
+quadratically with the universe, hence the size guard (default 6, about
+3.2k trees).  All outputs are deterministic: trees are ordered by the
+enumeration, pair lists lexicographically, mined families by canonical
+text.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .embedding import embeds
@@ -31,13 +34,14 @@ from .invariants import (
     signature,
     top_defect_upper_bound,
 )
-from .trees import PlaneTree, count, enumerate_trees
+from .trees import PlaneTree, count, enumerate_trees, reductions
 
 __all__ = [
     "Universe",
     "PosetReport",
     "Predicate",
     "universe",
+    "check_guard",
     "poset",
     "evaluate",
     "check_excluded_family",
@@ -88,58 +92,52 @@ class PosetReport:
     stats: dict
 
 
-def _relation_chunk(args: tuple[int, int, int]) -> list[tuple[int, int]]:
-    nmax, lo, hi = args
-    u = universe(nmax)
-    trees = u.trees
-    sizes = [t.size for t in trees]
-    total = len(trees)
-    out = []
-    for i in range(lo, hi):
-        ti = trees[i]
-        si = sizes[i]
-        for j in range(total):
-            # Distinct same-size trees never embed: every reduction other
-            # than the identity contraction strictly shrinks the tree.
-            if sizes[j] > si and embeds(ti, trees[j]):
-                out.append((i, j))
-    return out
+def check_guard(nmax: int, max_nmax: int = DEFAULT_POSET_GUARD) -> None:
+    """Refuse a universe bound above the guard before any tree is built."""
+    if nmax > max_nmax:
+        raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {max_nmax}")
 
 
-def _relation_pairs(u: Universe, jobs: int = 1) -> list[tuple[int, int]]:
-    total = len(u.trees)
-    if jobs <= 1 or total < 64:
-        return _relation_chunk((u.nmax, 0, total))
-    bounds = [total * k // (jobs * 4) for k in range(jobs * 4 + 1)]
-    chunks = [
-        (u.nmax, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-    ]
-    pairs: list[tuple[int, int]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_relation_chunk, chunks):
-            pairs.extend(part)
-    return pairs
+def _order(u: Universe) -> tuple[list[list[int]], list[int]]:
+    """Covers and strict down-sets of every tree of ``u``.
+
+    ``covers[j]`` lists the indices of the one-vertex reductions of
+    ``trees[j]``; ``down[j]`` is the bitset of every index whose tree
+    embeds strictly into ``trees[j]``.  Reductions are smaller, so they
+    come earlier in the enumeration and their down-sets are complete.
+    """
+    index = {t.text: i for i, t in enumerate(u.trees)}
+    covers: list[list[int]] = []
+    down: list[int] = []
+    for t in u.trees:
+        below = sorted({index[r.text] for r in reductions(t)})
+        d = 0
+        for r in below:
+            d |= 1 << r | down[r]
+        covers.append(below)
+        down.append(d)
+    return covers, down
 
 
-def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD, jobs: int = 1) -> PosetReport:
+def _bits(x: int) -> list[int]:
+    s = bin(x)[:1:-1]
+    return [i for i, c in enumerate(s) if c == "1"]
+
+
+def _relation(down: list[int]) -> list[tuple[int, int]]:
+    return sorted((i, j) for j, d in enumerate(down) for i in _bits(d))
+
+
+def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD) -> PosetReport:
     """Compute the embedding relation and its Hasse diagram over ``u``.
 
     Same-size pairs are excluded by definition (i != j and equal sizes
-    force equal trees).  Output is independent of ``jobs``.
+    force equal trees).  The Hasse pairs are the one-vertex reductions.
     """
-    if u.nmax > max_nmax:
-        raise ValueError(
-            f"poset guard exceeded: universe bound {u.nmax} > guard {max_nmax}"
-        )
-    pairs = _relation_pairs(u, jobs)
-    succ: dict[int, set[int]] = defaultdict(set)
-    for i, j in pairs:
-        succ[i].add(j)
-    hasse = tuple(
-        (i, j)
-        for i, j in pairs
-        if not any(j in succ.get(k, ()) for k in succ[i] if k != j)
-    )
+    check_guard(u.nmax, max_nmax)
+    covers, down = _order(u)
+    pairs = _relation(down)
+    hasse = tuple(sorted((r, j) for j, below in enumerate(covers) for r in below))
     sizes = [t.size for t in u.trees]
     trees_per_size = {k: count(k) for k in range(1, u.nmax + 1)}
     pairs_per_size: dict[str, int] = defaultdict(int)
@@ -229,19 +227,14 @@ def minimal_excluded(
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
-    if nmax > max_nmax:
-        raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {max_nmax}")
+    check_guard(nmax, max_nmax)
     u = universe(nmax)
-    violators_by_size: dict[int, list[PlaneTree]] = defaultdict(list)
-    for t in u.trees:
+    violators = 0
+    for i, t in enumerate(u.trees):
         if not evaluate(p, t):
-            violators_by_size[t.size].append(t)
-    minimal = []
-    for size in sorted(violators_by_size):
-        smaller = [t for s in range(1, size) for t in violators_by_size[s]]
-        for t in violators_by_size[size]:
-            if not any(embeds(f, t) for f in smaller):
-                minimal.append(t)
+            violators |= 1 << i
+    _, down = _order(u)
+    minimal = [u.trees[j] for j in _bits(violators) if not down[j] & violators]
     return sorted(minimal, key=lambda t: t.text)
 
 
@@ -252,7 +245,7 @@ _QUANTITIES = {
 
 
 def audit_monotone(
-    quantity: str, nmax: int, max_nmax: int = DEFAULT_POSET_GUARD, jobs: int = 1
+    quantity: str, nmax: int, max_nmax: int = DEFAULT_POSET_GUARD
 ) -> list[tuple[int, int]]:
     """Scan the relation over ``universe(nmax)`` for monotonicity failures.
 
@@ -264,12 +257,12 @@ def audit_monotone(
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}")
-    if nmax > max_nmax:
-        raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {max_nmax}")
+    check_guard(nmax, max_nmax)
     q = _QUANTITIES[quantity]
     u = universe(nmax)
     values = [q(t) for t in u.trees]
-    return [(i, j) for i, j in _relation_pairs(u, jobs) if values[i] > values[j]]
+    _, down = _order(u)
+    return [(i, j) for i, j in _relation(down) if values[i] > values[j]]
 
 
 def fingerprint_classes(n: int) -> list[list[PlaneTree]]:

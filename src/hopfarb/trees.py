@@ -38,6 +38,7 @@ __all__ = [
     "delete_leaf",
     "strip_root",
     "contract_path",
+    "reductions",
     "equal",
     "random_tree",
     "tree_to_json_obj",
@@ -260,8 +261,9 @@ def equal(t1: PlaneTree, t2: PlaneTree) -> bool:
 #     order with '(' < ')';
 #   * within a shape, sign vectors run over the preorder vertices in
 #     lexicographic order with '+' < '-'.
-# The order is part of the contract: golden files and parallel sweeps
-# rely on it, and `random_tree` unranks against it.
+# The order is part of the contract: golden files and the universe
+# indices of `hopfarb.minors` rely on it, and `random_tree` unranks
+# against it.
 # ---------------------------------------------------------------------------
 
 
@@ -327,34 +329,32 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
 
 
 def _unrank_shape(pairs: int, rank: int) -> str:
-    # ways[r][b] = number of balanced completions of length r from balance b.
-    ways = [[0] * (pairs + 2) for _ in range(2 * pairs + 1)]
-    ways[0][0] = 1
-    for r in range(1, 2 * pairs + 1):
-        for b in range(pairs + 1):
-            w = ways[r - 1][b + 1] if b + 1 <= pairs else 0
-            if b > 0:
-                w += ways[r - 1][b - 1]
-            ways[r][b] = w
+    # From r remaining characters with balance b and o = (r - b) / 2 opens
+    # left, the balanced completions number comb(r, o) - comb(r, o - 1)
+    # = comb(r, o) * (b + 1) / (r - o + 1) (ballot numbers).  Only
+    # w = comb(r, o) is kept, updated exactly at each step.
     out: list[str] = []
-    balance = 0
-    for r in range(2 * pairs, 0, -1):
-        c_open = ways[r - 1][balance + 1] if balance + 1 <= pairs else 0
+    balance, opens, r = 0, pairs, 2 * pairs
+    w = comb(r, opens)
+    while r:
+        w_open = w * opens // r  # comb(r - 1, opens - 1)
+        c_open = w_open * (balance + 2) // (r - opens + 1)
         if rank < c_open:
             out.append("(")
-            balance += 1
+            w, balance, opens = w_open, balance + 1, opens - 1
         else:
             rank -= c_open
             out.append(")")
-            balance -= 1
+            w, balance = w * (r - opens) // r, balance - 1
+        r -= 1
     return "".join(out)
 
 
 def unrank(n: int, idx: int) -> PlaneTree:
     """The ``idx``-th element of ``enumerate_trees(n)`` without iteration.
 
-    Lets callers restart or partition the enumeration: workers can split
-    ``range(count(n))`` and reconstruct their slices independently.
+    Lets callers restart or partition the enumeration: any slice of
+    ``range(count(n))`` can be reconstructed independently.
     """
     if n < 1:
         raise ValueError("tree size must be >= 1")
@@ -436,6 +436,26 @@ def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
         return (t.labels[x], [rec(c) for c in t.children[x]])
 
     return PlaneTree.from_nested(rec(t.root))
+
+
+def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
+    """Every tree obtained from ``t`` by one reduction removing one vertex.
+
+    Yields each leaf deletion, the root strip, and the contraction of
+    each single-child interior vertex, possibly with repeats.  Longer
+    path contractions are chains of these, so the reflexive-transitive
+    closure of this step is the embedding order.
+    """
+    if t.size > 1:
+        for v in range(t.size):
+            if t.is_leaf(v):
+                yield delete_leaf(t, v)
+    if len(t.children[t.root]) == 1:
+        yield strip_root(t)
+    for u in range(t.size):
+        for c in t.children[u]:
+            if len(t.children[c]) == 1:
+                yield contract_path(t, u, t.children[c][0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from hopfarb import minors
 from hopfarb.cli import run
 
 
@@ -131,6 +134,24 @@ def test_poset_guard_error(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "--max-size", "8"],
+        ["audit", "--quantity", "genus", "--max-size", "8"],
+        ["mine", "--predicate", "all_positive", "--max-size", "8"],
+    ],
+)
+def test_guard_checked_before_enumeration(capsys, monkeypatch, argv):
+    def no_enumeration(n):
+        raise AssertionError("enumerated trees before checking the guard")
+
+    monkeypatch.setattr(minors, "enumerate_trees", no_enumeration)
+    assert run(argv) == 1
+    _, err = out_of(capsys)
+    assert err == "error: poset guard exceeded: universe bound 8 > guard 6\n"
+
+
 def test_mine(capsys):
     assert run(["mine", "--predicate", "all_positive", "--max-size", "4"]) == 0
     out, _ = out_of(capsys)
@@ -166,3 +187,9 @@ def test_jobs_do_not_change_output(capsys):
     two, _ = out_of(capsys)
     assert one == two
     assert one.startswith("i,j\n")
+
+
+def test_import_starts_no_process_pool():
+    code = "import sys, hopfarb; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

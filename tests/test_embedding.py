@@ -8,8 +8,7 @@ from hopfarb.embedding import (
     oracle_embeds,
     verify_witness,
 )
-from hopfarb.minors import _relation_pairs
-from hopfarb.trees import contract_path, delete_leaf, parse, strip_root
+from hopfarb.trees import contract_path, delete_leaf, parse, reductions, strip_root
 
 
 # --- decision examples -------------------------------------------------------
@@ -125,6 +124,19 @@ def test_operation_closure_frozen_example():
     }
 
 
+def test_reductions_are_the_covers(u5):
+    # The one-vertex reductions of a tree are exactly the trees one
+    # vertex smaller that embed into it, so they are the covers of the
+    # order.
+    by_size = {}
+    for t in u5.trees:
+        by_size.setdefault(t.size, []).append(t)
+    for t in u5.trees:
+        got = {r.text for r in reductions(t)}
+        want = {s.text for s in by_size.get(t.size - 1, []) if embeds(s, t)}
+        assert got == want, t.text
+
+
 def test_oracle_examples():
     assert oracle_embeds(parse("+(+)"), parse("+(-(+))"))
     assert not oracle_embeds(parse("-"), parse("+(+)"))
@@ -164,8 +176,8 @@ def test_reflexive_on_universe_5(u5):
         assert embeds(t, t)
 
 
-def test_transitive_on_universe_5(u5):
-    pairs = _relation_pairs(u5)
+def test_transitive_on_universe_5(u5, pairwise_relation):
+    pairs = pairwise_relation(u5)
     succ = [0] * len(u5.trees)
     for i, j in pairs:
         succ[i] |= 1 << j

@@ -3,6 +3,7 @@ import pytest
 from hopfarb.embedding import embeds
 from hopfarb.minors import (
     Predicate,
+    _REGISTRY,
     audit_monotone,
     check_excluded_family,
     evaluate,
@@ -12,7 +13,6 @@ from hopfarb.minors import (
     poset_to_csv,
     poset_to_dot,
     universe,
-    _relation_pairs,
 )
 from hopfarb.trees import count, parse
 
@@ -61,7 +61,7 @@ def test_poset_guard():
 
 
 def test_relation_transitively_closed(u4):
-    pairs = _relation_pairs(u4)
+    pairs = poset(u4).relation_pairs
     succ = [0] * len(u4.trees)
     for i, j in pairs:
         succ[i] |= 1 << j
@@ -69,8 +69,19 @@ def test_relation_transitively_closed(u4):
         assert succ[j] & ~succ[i] == 0
 
 
-def test_relation_independent_of_jobs(u3):
-    assert _relation_pairs(u3, jobs=1) == _relation_pairs(u3, jobs=2)
+def test_poset_matches_pairwise_dp(u5, pairwise_relation):
+    report = poset(u5)
+    relation = pairwise_relation(u5)
+    assert list(report.relation_pairs) == relation
+    # The Hasse pairs are the transitive reduction of the DP relation:
+    # the pairs (i, j) with no k strictly between them in the order.
+    up = [0] * len(u5.trees)
+    down = [0] * len(u5.trees)
+    for i, j in relation:
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    reduction = [(i, j) for i, j in relation if not up[i] & down[j]]
+    assert list(report.hasse_pairs) == reduction
 
 
 def test_hasse_is_transitive_reduction(u3):
@@ -147,6 +158,40 @@ def test_minimal_excluded_guard():
         minimal_excluded(Predicate.parse("all_positive"), 7)
     with pytest.raises(ValueError):
         minimal_excluded(Predicate.parse("all_positive"), 0)
+
+
+def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
+    # Violators with no violator strictly below them under the DP
+    # relation, for every predicate, including the ones that are not
+    # minor-monotone: there a violator can sit below a non-violator.
+    specs = {
+        "size_le": "size_le:3",
+        "genus_le": "genus_le:1",
+        "all_positive": "all_positive",
+        "sig_abs_le": "sig_abs_le:1",
+        "det_le": "det_le:3",
+        "top_defect_ub_le": "top_defect_ub_le:1",
+    }
+    assert set(specs) == set(_REGISTRY)
+    relation = pairwise_relation(u5)
+    below_satisfier = {}
+    for spec in specs.values():
+        p = Predicate.parse(spec)
+        if p.knots_only:
+            with pytest.raises(ValueError, match="knots only"):
+                minimal_excluded(p, 5)
+            continue
+        violates = [not evaluate(p, t) for t in u5.trees]
+        covered = {j for i, j in relation if violates[i]}
+        expected = sorted(
+            (t for j, t in enumerate(u5.trees) if violates[j] and j not in covered),
+            key=lambda t: t.text,
+        )
+        assert minimal_excluded(p, 5) == expected, p.name
+        below_satisfier[p.name] = sum(1 for i, j in relation if violates[i] and not violates[j])
+    assert below_satisfier["sig_abs_le"] == 1070
+    assert below_satisfier["det_le"] == 12
+    assert below_satisfier["genus_le"] == below_satisfier["size_le"] == 0
 
 
 def test_mined_family_soundness_and_completeness(u4):

@@ -12,6 +12,7 @@ from hopfarb.trees import (
     equal,
     parse,
     random_tree,
+    reductions,
     strip_root,
     to_text,
     tree_from_json_obj,
@@ -130,7 +131,7 @@ def test_enumerate_rejects_zero():
 
 
 def test_unrank_agrees_with_enumeration():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for i, t in enumerate(enumerate_trees(n)):
             assert unrank(n, i) == t
 
@@ -153,6 +154,10 @@ def test_random_tree_deterministic():
     assert random_tree(1, 7).text in ("+", "-")
     with pytest.raises(ValueError):
         random_tree(0, 1)
+
+
+def test_random_tree_large():
+    assert random_tree(3000, 1).size == 3000
 
 
 def test_random_tree_membership():
@@ -232,6 +237,19 @@ def test_reductions_shrink_and_stay_valid(u4):
                     hops += 1
                     assert contract_path(t, u, w).size == t.size - hops
                     interior = w
+
+
+def test_reductions_remove_one_vertex():
+    t = parse("+(-(+),+)")
+    got = [r.text for r in reductions(t)]
+    # Two leaf deletions, then the contraction of the single-child "-".
+    assert got == ["+(-,+)", "+(-(+))", "+(+,+)"]
+    # Leaf deletion and contracting the middle vertex give the same tree.
+    assert [r.text for r in reductions(parse("-(+(+))"))] == ["-(+)", "+(+)", "-(+)"]
+    assert list(reductions(parse("+"))) == []
+    for n in range(2, 6):
+        for t in enumerate_trees(n):
+            assert all(r.size == n - 1 for r in reductions(t))
 
 
 # --- JSON form ---------------------------------------------------------------
