@@ -106,8 +106,10 @@ def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
 
     The image of the root of ``t1`` may be any vertex of ``t2``: whatever
     lies above it can be pruned by leaf deletions and root removals.
+    An embedding maps vertices injectively and keeps signs, so ``t2``
+    needs at least as many vertices of each sign as ``t1``.
     """
-    if t1.size > t2.size:
+    if abs(sum(t1.labels) - sum(t2.labels)) > t2.size - t1.size:
         return False
     emb, _ = _embedding_tables(t1, t2)
     row = emb[t1.root]

@@ -15,7 +15,9 @@ The order is generated by the one-vertex reductions of
 enumeration (hence size) order accumulates every tree's strict down-set
 from those of its reductions.  The relation table still grows
 quadratically with the universe, hence the size guard (default 6, about
-3.2k trees).  All outputs are deterministic: trees are ordered by the
+3.2k trees).  Mining needs no relation table: each violator is tested
+with the embedding DP against the minimal violators already found.  All
+outputs are deterministic: trees are ordered by the
 enumeration, pair lists lexicographically, mined families by canonical
 text.
 """
@@ -224,17 +226,19 @@ def minimal_excluded(
     it satisfies ``p``.  For a minor-monotone predicate the result is the
     obstruction set relative to this universe; completeness beyond the
     bound is not certified.  Sorted by canonical text.
+
+    A violator with some violator strictly below it also has a minimal
+    one there, so in size order each violator is tested only against the
+    minimal violators already found.  This holds for any predicate,
+    monotone or not.
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     check_guard(nmax, max_nmax)
-    u = universe(nmax)
-    violators = 0
-    for i, t in enumerate(u.trees):
-        if not evaluate(p, t):
-            violators |= 1 << i
-    _, down = _order(u)
-    minimal = [u.trees[j] for j in _bits(violators) if not down[j] & violators]
+    minimal: list[PlaneTree] = []
+    for t in universe(nmax).trees:
+        if not evaluate(p, t) and check_excluded_family(t, [m for m in minimal if m.size < t.size]):
+            minimal.append(t)
     return sorted(minimal, key=lambda t: t.text)
 
 

@@ -8,7 +8,7 @@ from hopfarb.embedding import (
     oracle_embeds,
     verify_witness,
 )
-from hopfarb.trees import contract_path, delete_leaf, parse, reductions, strip_root
+from hopfarb.trees import contract_path, delete_leaf, parse, strip_root
 
 
 # --- decision examples -------------------------------------------------------
@@ -122,19 +122,6 @@ def test_operation_closure_frozen_example():
     assert operation_closure(parse("+(-(+))")) == {
         "+(-(+))", "+(-)", "-(+)", "+(+)", "+", "-",
     }
-
-
-def test_reductions_are_the_covers(u5):
-    # The one-vertex reductions of a tree are exactly the trees one
-    # vertex smaller that embed into it, so they are the covers of the
-    # order.
-    by_size = {}
-    for t in u5.trees:
-        by_size.setdefault(t.size, []).append(t)
-    for t in u5.trees:
-        got = {r.text for r in reductions(t)}
-        want = {s.text for s in by_size.get(t.size - 1, []) if embeds(s, t)}
-        assert got == want, t.text
 
 
 def test_oracle_examples():
