@@ -25,6 +25,13 @@ from .trees import (
 )
 
 
+def _limit(text: str) -> int:
+    limit = int(text)
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return limit
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hopfarb",
@@ -45,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enum", help="list all trees of a given size")
     sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--limit", type=_limit, default=None)
 
     sp = sub.add_parser("count", help="number of trees of a given size")
     sp.add_argument("n", type=int)
@@ -123,7 +130,11 @@ def _dispatch(args) -> int:
     if args.verb == "parse":
         for t in _input_trees(args):
             if args.format == "json":
-                print(json.dumps(tree_to_json_obj(t), separators=(",", ":")))
+                try:
+                    line = json.dumps(tree_to_json_obj(t), separators=(",", ":"))
+                except RecursionError:  # json.dumps recurses once per tree level
+                    raise ValueError("tree too deep for JSON output") from None
+                print(line)
             else:
                 print(t.text)
     elif args.verb == "enum":

@@ -17,6 +17,9 @@ Grammar::
 Whitespace may appear between tokens.  The canonical text of a tree is the
 same grammar with no whitespace; it is the identity key for equality and
 hashing.
+
+:class:`PlaneTree` is the one tree representation.  Every operation on it
+is iterative, so tree depth is bounded by memory, not by recursion limits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random as _random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator
+from typing import Collection, Iterator
 
 __all__ = [
     "PlaneTree",
@@ -73,7 +76,7 @@ class PlaneTree:
 
     Values are immutable; equality and hashing go through the canonical
     text, so two trees are equal exactly when they are isomorphic as
-    labelled plane trees.
+    labelled plane trees.  No operation recurses over the tree.
     """
 
     labels: tuple[int, ...]
@@ -116,14 +119,20 @@ class PlaneTree:
     @cached_property
     def text(self) -> str:
         """Canonical text: the grammar with no whitespace."""
-
-        def write(v: int) -> str:
-            s = _SIGN_CHAR[self.labels[v]]
+        out: list[str] = []
+        stack: list[int | str] = [self.root]  # vertices to write, and punctuation
+        while stack:
+            v = stack.pop()
+            if isinstance(v, str):
+                out.append(v)
+                continue
+            out.append(_SIGN_CHAR[self.labels[v]])
             if self.children[v]:
-                s += "(" + ",".join(write(c) for c in self.children[v]) + ")"
-            return s
-
-        return write(self.root)
+                stack.append(")")
+                for c in reversed(self.children[v]):
+                    stack += (c, ",")
+                stack[-1] = "("  # the first child follows '(', not ','
+        return "".join(out)
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -138,14 +147,6 @@ class PlaneTree:
             stack.extend(reversed(self.children[v]))
         return order
 
-    def subtree_sizes(self) -> list[int]:
-        """Number of vertices in the subtree rooted at each vertex."""
-        sizes = [1] * self.size
-        for v in reversed(self.preorder()):
-            for c in self.children[v]:
-                sizes[v] += sizes[c]
-        return sizes
-
     def depth(self, v: int) -> int:
         d = 0
         p = self.parents[v]
@@ -153,36 +154,6 @@ class PlaneTree:
             d += 1
             p = self.parents[p]
         return d
-
-    @classmethod
-    def from_nested(cls, nested) -> "PlaneTree":
-        """Build a tree from ``(sign, [nested children...])`` pairs, preorder-numbered."""
-        labels: list[int] = []
-        parents: list[int | None] = []
-        children: list[list[int]] = []
-
-        def build(node, parent: int | None) -> int:
-            sign, kids = node
-            v = len(labels)
-            labels.append(sign)
-            parents.append(parent)
-            children.append([])
-            if parent is not None:
-                children[parent].append(v)
-            for kid in kids:
-                build(kid, v)
-            return v
-
-        build(nested, None)
-        return cls(tuple(labels), tuple(parents), tuple(map(tuple, children)), 0)
-
-    def nested(self):
-        """Inverse of :meth:`from_nested`."""
-
-        def rec(v: int):
-            return (self.labels[v], [rec(c) for c in self.children[v]])
-
-        return rec(self.root)
 
     def __eq__(self, other):
         if not isinstance(other, PlaneTree):
@@ -196,50 +167,63 @@ class PlaneTree:
         return f"PlaneTree({self.text!r})"
 
 
+def _from_parents(labels: list[int], parents: list[int | None]) -> PlaneTree:
+    # Vertices are given in preorder, so each vertex's children are the
+    # later vertices naming it as parent, in index order.
+    children: list[list[int]] = [[] for _ in labels]
+    for v, p in enumerate(parents):
+        if p is not None:
+            children[p].append(v)
+    return PlaneTree(tuple(labels), tuple(parents), tuple(map(tuple, children)), 0)
+
+
 def parse(text: str) -> PlaneTree:
     """Parse tree text into a :class:`PlaneTree` (preorder-numbered).
 
     Raises :class:`TreeSyntaxError` with the offending 0-based offset on
     malformed input, including empty input and trailing garbage.
     """
-    pos = 0
     n = len(text)
 
-    def skip_ws():
-        nonlocal pos
+    def skip_ws(pos: int) -> int:
         while pos < n and text[pos].isspace():
             pos += 1
+        return pos
 
-    def expect_tree():
-        nonlocal pos
-        skip_ws()
+    labels: list[int] = []
+    parents: list[int | None] = []
+    open_: list[int] = []  # vertices whose '(' is not yet closed
+    pos = 0
+    while True:
+        # A tree starts here: its sign, then perhaps '(' opening its children.
+        pos = skip_ws(pos)
         if pos >= n:
             raise TreeSyntaxError("expected '+' or '-'", pos)
         ch = text[pos]
         if ch not in _CHAR_SIGN:
             raise TreeSyntaxError(f"expected '+' or '-', found {ch!r}", pos)
-        sign = _CHAR_SIGN[ch]
-        pos += 1
-        kids = []
-        skip_ws()
+        labels.append(_CHAR_SIGN[ch])
+        parents.append(open_[-1] if open_ else None)
+        pos = skip_ws(pos + 1)
         if pos < n and text[pos] == "(":
+            open_.append(len(labels) - 1)
             pos += 1
-            kids.append(expect_tree())
-            skip_ws()
-            while pos < n and text[pos] == ",":
+            continue
+        # The tree is complete: close open vertices until ',' starts a sibling.
+        while open_:
+            pos = skip_ws(pos)
+            if pos < n and text[pos] == ",":
                 pos += 1
-                kids.append(expect_tree())
-                skip_ws()
+                break
             if pos >= n or text[pos] != ")":
                 raise TreeSyntaxError("expected ',' or ')'", pos)
             pos += 1
-        return (sign, kids)
-
-    nested = expect_tree()
-    skip_ws()
-    if pos != n:
-        raise TreeSyntaxError(f"unexpected trailing input {text[pos]!r}", pos)
-    return PlaneTree.from_nested(nested)
+            open_.pop()
+        else:
+            pos = skip_ws(pos)
+            if pos != n:
+                raise TreeSyntaxError(f"unexpected trailing input {text[pos]!r}", pos)
+            return _from_parents(labels, parents)
 
 
 def to_text(t: PlaneTree) -> str:
@@ -375,8 +359,27 @@ def random_tree(n: int, seed: int) -> PlaneTree:
 
 # ---------------------------------------------------------------------------
 # Reduction operations.  Each returns a fresh preorder-numbered tree and
-# leaves its input untouched.
+# leaves its input untouched; all of them are one splice.
 # ---------------------------------------------------------------------------
+
+
+def _splice(t: PlaneTree, gone: Collection[int]) -> PlaneTree:
+    # Remove the vertices in ``gone``, each with at most one child; that
+    # child takes its removed parent's slot.  The survivors keep their
+    # preorder, so they are renumbered in one pass.
+    slot: list[int | None] = [None] * t.size  # new index of v, or of its nearest kept ancestor
+    labels: list[int] = []
+    parents: list[int | None] = []
+    for v in t.preorder():
+        p = t.parents[v]
+        up = None if p is None else slot[p]
+        if v in gone:
+            slot[v] = up
+        else:
+            slot[v] = len(labels)
+            labels.append(t.labels[v])
+            parents.append(up)
+    return _from_parents(labels, parents)
 
 
 def delete_leaf(t: PlaneTree, v: int) -> PlaneTree:
@@ -385,11 +388,7 @@ def delete_leaf(t: PlaneTree, v: int) -> PlaneTree:
         raise ValueError(f"vertex {v} is not a leaf")
     if t.size == 1:
         raise ValueError("cannot delete the only vertex of a tree")
-
-    def rec(u: int):
-        return (t.labels[u], [rec(c) for c in t.children[u] if c != v])
-
-    return PlaneTree.from_nested(rec(t.root))
+    return _splice(t, (v,))
 
 
 def strip_root(t: PlaneTree) -> PlaneTree:
@@ -397,11 +396,7 @@ def strip_root(t: PlaneTree) -> PlaneTree:
     kids = t.children[t.root]
     if len(kids) != 1:
         raise ValueError(f"root has {len(kids)} children, expected exactly 1")
-
-    def rec(u: int):
-        return (t.labels[u], [rec(c) for c in t.children[u]])
-
-    return PlaneTree.from_nested(rec(kids[0]))
+    return _splice(t, (t.root,))
 
 
 def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
@@ -412,30 +407,19 @@ def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
     ``w`` are kept; ``w`` takes the child slot of the path's first
     interior vertex.  A path that is already an edge contracts to itself.
     """
-    path = [w]
+    interior: list[int] = []
     p = t.parents[w]
     while p is not None and p != u:
-        path.append(p)
+        interior.append(p)
         p = t.parents[p]
     if p != u:
         raise ValueError(f"vertex {w} is not a strict descendant of {u}")
-    path.append(u)
-    path.reverse()  # u, interior..., w
-    for interior in path[1:-1]:
-        if len(t.children[interior]) != 1:
-            raise ValueError(
-                f"interior vertex {interior} has {len(t.children[interior])} children, expected 1"
-            )
-    if len(path) == 2:
+    for x in reversed(interior):
+        if len(t.children[x]) != 1:
+            raise ValueError(f"interior vertex {x} has {len(t.children[x])} children, expected 1")
+    if not interior:
         return t
-    first_interior = path[1]
-
-    def rec(x: int):
-        if x == first_interior:
-            return rec(w)
-        return (t.labels[x], [rec(c) for c in t.children[x]])
-
-    return PlaneTree.from_nested(rec(t.root))
+    return _splice(t, set(interior))
 
 
 def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
@@ -446,38 +430,40 @@ def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
     path contractions are chains of these, so the reflexive-transitive
     closure of this step is the embedding order.
     """
-    if t.size > 1:
-        for v in range(t.size):
-            if t.is_leaf(v):
-                yield delete_leaf(t, v)
+    removable = [v for v in range(t.size) if t.is_leaf(v)] if t.size > 1 else []
     if len(t.children[t.root]) == 1:
-        yield strip_root(t)
-    for u in range(t.size):
-        for c in t.children[u]:
-            if len(t.children[c]) == 1:
-                yield contract_path(t, u, t.children[c][0])
+        removable.append(t.root)
+    removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
+    for v in removable:
+        yield _splice(t, (v,))
 
 
 # ---------------------------------------------------------------------------
-# JSON form: {"label": "+"|"-", "children": [...]} nested recursively.
+# JSON form: {"label": "+"|"-", "children": [...]} nested to the tree's depth.
 # ---------------------------------------------------------------------------
 
 
 def tree_to_json_obj(t: PlaneTree) -> dict:
-    def rec(v: int) -> dict:
-        return {
-            "label": _SIGN_CHAR[t.labels[v]],
-            "children": [rec(c) for c in t.children[v]],
-        }
-
-    return rec(t.root)
+    nodes: list[dict] = [{}] * t.size
+    for v in t.preorder():
+        nodes[v] = {"label": _SIGN_CHAR[t.labels[v]], "children": []}
+        p = t.parents[v]
+        if p is not None:
+            nodes[p]["children"].append(nodes[v])
+    return nodes[t.root]
 
 
 def tree_from_json_obj(obj: dict) -> PlaneTree:
-    def rec(node) -> tuple:
+    labels: list[int] = []
+    parents: list[int | None] = []
+    stack: list[tuple[dict, int | None]] = [(obj, None)]
+    while stack:
+        node, parent = stack.pop()
         label = node["label"]
         if label not in _CHAR_SIGN:
             raise ValueError(f"invalid label {label!r}")
-        return (_CHAR_SIGN[label], [rec(k) for k in node.get("children", [])])
-
-    return PlaneTree.from_nested(rec(obj))
+        labels.append(_CHAR_SIGN[label])
+        parents.append(parent)
+        v = len(labels) - 1
+        stack.extend((kid, v) for kid in reversed(node.get("children", [])))
+    return _from_parents(labels, parents)

@@ -72,6 +72,27 @@ def test_enum_with_limit(capsys):
     assert out == "+(+)\n+(-)\n"
 
 
+def test_negative_limit_is_usage_error(capsys):
+    assert run(["enum", "--size", "3", "--limit", "-1"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "--limit: expected a non-negative integer, got '-1'" in err
+
+
+def test_parse_deep_tree_file(tmp_path, capsys):
+    text = "+(" * 1200 + "+" + ")" * 1200
+    f = tmp_path / "deep.txt"
+    f.write_text(text + "\n", encoding="utf-8")
+    assert run(["parse", "--file", str(f)]) == 0
+    out, _ = out_of(capsys)
+    assert out == text + "\n"
+    # The nested JSON form is deeper than json.dumps can go.
+    assert run(["parse", "--file", str(f), "--format", "json"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: tree too deep for JSON output\n"
+
+
 def test_inv_json_matches_schema(capsys):
     assert run(["inv", "--tree", "+(+)", "--format", "json"]) == 0
     out, _ = out_of(capsys)

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfarb.embedding import embeds
 from hopfarb.trees import (
     PlaneTree,
     TreeSyntaxError,
@@ -51,6 +54,11 @@ def test_parse_ignores_whitespace():
         ("+)", 1),
         ("++", 1),
         ("+(+))", 4),
+        ("+(+(-,)", 6),
+        ("+(+(-)),", 7),
+        ("+(-(+),x)", 7),
+        ("+(+(-)", 6),
+        ("-(+,-(+ ,+),)", 12),
     ],
 )
 def test_parse_errors_carry_offset(text, offset):
@@ -92,6 +100,43 @@ def test_invalid_constructions_rejected():
         # Two-cycle detached from the root: parent/child bookkeeping is
         # locally consistent, but nothing below the root is reachable.
         PlaneTree((1, 1, 1), (None, 2, 1), ((), (2,), (1,)), 0)
+
+
+@st.composite
+def plane_trees(draw, max_size=12):
+    """Any signed plane tree, its vertices numbered in a random order."""
+    n = draw(st.integers(1, max_size))
+    # Parents earlier than their children, siblings in index order: every
+    # plane tree arises this way, preorder numbering among others.
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    name = draw(st.permutations(range(n)))
+    labels, parents, children = [0] * n, [None] * n, [[] for _ in range(n)]
+    for v in range(n):
+        labels[name[v]] = draw(st.sampled_from((1, -1)))
+        if parent[v] is not None:
+            parents[name[v]] = name[parent[v]]
+            children[name[parent[v]]].append(name[v])
+    return PlaneTree(tuple(labels), tuple(parents), tuple(map(tuple, children)), name[0])
+
+
+@settings(deadline=None)
+@given(plane_trees())
+def test_parse_inverts_text(t):
+    assert parse(t.text) == t
+
+
+@settings(deadline=None)
+@given(plane_trees())
+def test_json_round_trip_property(t):
+    assert tree_from_json_obj(json.loads(json.dumps(tree_to_json_obj(t)))) == t
+
+
+@settings(deadline=None)
+@given(plane_trees())
+def test_reductions_are_one_vertex_minors(t):
+    for r in reductions(t):
+        assert r.size == t.size - 1
+        assert embeds(r, t)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -250,6 +295,28 @@ def test_reductions_remove_one_vertex():
     for n in range(2, 6):
         for t in enumerate_trees(n):
             assert all(r.size == n - 1 for r in reductions(t))
+
+
+def test_deep_and_wide_trees():
+    # No recursion limit: a 10^5-deep path and a 10^5-leaf star, with the
+    # JSON form checked as dicts since json.dumps itself recurses.
+    n = 100_000
+    path_text = "+(" * (n - 1) + "-" + ")" * (n - 1)
+    path = parse(path_text)
+    assert path.size == n and path.text == path_text
+    assert delete_leaf(path, n - 1).text == "+(" * (n - 2) + "+" + ")" * (n - 2)
+    assert strip_root(path).text == path_text[2:-1]
+    assert contract_path(path, 0, n - 1).text == "+(-)"
+    assert tree_from_json_obj(tree_to_json_obj(path)) == path
+
+    star_text = "+(" + ",".join("-" * (n - 1)) + ")"
+    star = parse(star_text)
+    assert star.size == n and star.text == star_text
+    assert delete_leaf(star, 1).size == n - 1
+    assert contract_path(star, 0, 1) == star
+    with pytest.raises(ValueError):
+        strip_root(star)
+    assert tree_from_json_obj(tree_to_json_obj(star)) == star
 
 
 # --- JSON form ---------------------------------------------------------------
