@@ -16,7 +16,12 @@ enumeration (hence size) order accumulates every tree's strict down-set
 from those of its reductions.  The relation table still grows
 quadratically with the universe, hence the size guard (default 6, about
 3.2k trees).  Mining needs no relation table: each violator is tested
-with the embedding DP against the minimal violators already found.  All
+with the embedding DP against the minimal violators already found.
+Fingerprint classes compute each fingerprint once per unrooted,
+unordered signed tree (189 of them among the 2,688 trees of size 6):
+the Seifert invariants of a plumbing see neither its root nor its plane
+order, because re-rooting and reordering only permute the basis and
+move edge units between the two slots of an edge.  All
 outputs are deterministic: trees are ordered by the
 enumeration, pair lists lexicographically, mined families by canonical
 text.
@@ -269,18 +274,71 @@ def audit_monotone(
     return [(i, j) for i, j in _relation(down) if values[i] > values[j]]
 
 
+def _unrooted_key(t: PlaneTree) -> str:
+    # AHU code of ``t`` as an unrooted, unordered signed tree.  Peeling
+    # leaves layer by layer ends at its one or two centres; the key is the
+    # smaller code rooted at a centre, so equal keys mean equal trees up
+    # to root and plane order.
+    n = t.size
+    adj = [list(kids) for kids in t.children]
+    for v, p in enumerate(t.parents):
+        if p is not None:
+            adj[v].append(p)
+    degree = [len(a) for a in adj]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return min(_rooted_code(t, adj, c) for c in layer)
+
+
+def _rooted_code(t: PlaneTree, adj: list[list[int]], root: int) -> str:
+    # Breadth-first order from ``root``, then codes from the leaves up:
+    # sign, then the sorted codes of the children in parentheses.
+    order, parent = [root], [-1] * t.size
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code = [""] * t.size
+    for v in reversed(order):
+        inner = sorted(code[w] for w in adj[v] if w != parent[v])
+        code[v] = ("+(" if t.labels[v] > 0 else "-(") + "".join(inner) + ")"
+    return code[root]
+
+
 def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
     """Partition the size-``n`` trees by fingerprint equality.
 
     Classes are ordered by their smallest member's canonical text, and
     members within a class likewise.  Fingerprints are incomplete link
     invariants, so a class may merge trees with non-isotopic boundaries.
+
+    Each unrooted, unordered signed tree is fingerprinted once, which is
+    exact: re-rooting or reordering a tree permutes the basis of its
+    Seifert matrix ``V`` and moves some edges' unit to the other slot.
+    Neither changes ``V + V^T``, nor the rank of ``V - V^T`` (a +-1
+    diagonal congruence, as a tree has no cycles), and every edge
+    contributes the same factor ``-t`` to ``det(V - t V^T)`` whichever
+    slot holds its unit.
     """
     if n < 1:
         raise ValueError("tree size must be >= 1")
     groups = defaultdict(list)
+    fingerprints = {}
     for t in enumerate_trees(n):
-        groups[fingerprint(t)].append(t)
+        key = _unrooted_key(t)
+        if key not in fingerprints:
+            fingerprints[key] = fingerprint(t)
+        groups[fingerprints[key]].append(t)
     classes = [sorted(g, key=lambda t: t.text) for g in groups.values()]
     classes.sort(key=lambda g: g[0].text)
     return classes

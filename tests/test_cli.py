@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +192,15 @@ def test_classes(capsys):
     assert run(["classes", "--size", "2"]) == 0
     out, _ = out_of(capsys)
     assert out == "+(+)\n+(-) -(+)\n-(-)\n"
+
+
+def test_classes_size_6_matches_benchmark_golden(capsys):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    want = json.loads(golden.read_text(encoding="utf-8"))["stdout"]["classes --size 6"]
+    assert run(["classes", "--size", "6"]) == 0
+    out, _ = out_of(capsys)
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])
 
 
 def test_random_deterministic(capsys):

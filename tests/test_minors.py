@@ -1,9 +1,17 @@
-import pytest
+from collections import defaultdict
+from itertools import permutations, product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfarb import minors
 from hopfarb.embedding import embeds
+from hopfarb.invariants import fingerprint
 from hopfarb.minors import (
     Predicate,
     _REGISTRY,
+    _unrooted_key,
     audit_monotone,
     check_excluded_family,
     evaluate,
@@ -14,7 +22,7 @@ from hopfarb.minors import (
     poset_to_dot,
     universe,
 )
-from hopfarb.trees import count, parse
+from hopfarb.trees import PlaneTree, count, enumerate_trees, parse, random_tree
 
 
 # --- universes ---------------------------------------------------------------
@@ -246,6 +254,96 @@ def test_fingerprint_classes_partition():
     assert all(t.size == 4 for c in classes for t in c)
     with pytest.raises(ValueError):
         fingerprint_classes(0)
+
+
+def _neighbours(t):
+    adj = [list(kids) for kids in t.children]
+    for v, p in enumerate(t.parents):
+        if p is not None:
+            adj[v].append(p)
+    return adj
+
+
+def _plane_texts(t):
+    """Every plane text of ``t`` over all roots and all child orders."""
+    adj = _neighbours(t)
+
+    def texts(v, parent):
+        sign = "+" if t.labels[v] > 0 else "-"
+        kids = [texts(w, v) for w in adj[v] if w != parent]
+        if not kids:
+            return {sign}
+        return {
+            sign + "(" + ",".join(seq) + ")"
+            for order in permutations(kids)
+            for seq in product(*order)
+        }
+
+    return set().union(*(texts(r, None) for r in range(t.size)))
+
+
+def test_unrooted_key_is_exact():
+    for n in range(1, 6):
+        trees = list(enumerate_trees(n))
+        keys = [_unrooted_key(t) for t in trees]
+        orbits = [_plane_texts(t) for t in trees]
+        for i in range(len(trees)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == (not orbits[i].isdisjoint(orbits[j]))
+
+
+def test_unrooted_key_counts():
+    counts = [len({_unrooted_key(t) for t in enumerate_trees(n)}) for n in range(1, 7)]
+    assert counts == [2, 3, 6, 18, 54, 189]
+
+
+def test_fingerprint_constant_on_keys(u5):
+    seen = {}
+    for t in u5.trees:
+        fp = fingerprint(t)
+        assert seen.setdefault(_unrooted_key(t), fp) == fp
+
+
+@settings(deadline=None)
+@given(st.integers(6, 10), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_key_and_fingerprint_ignore_root_and_order(n, seed, rnd):
+    t = random_tree(n, seed)
+    adj = _neighbours(t)
+    root = rnd.randrange(n)
+    parents, children = [None] * n, [()] * n
+    order = [root]
+    for v in order:
+        kids = [w for w in adj[v] if w != parents[v]]
+        rnd.shuffle(kids)
+        for w in kids:
+            parents[w] = v
+        children[v] = tuple(kids)
+        order.extend(kids)
+    moved = PlaneTree(t.labels, tuple(parents), tuple(children), root)
+    assert _unrooted_key(moved) == _unrooted_key(t)
+    assert fingerprint(moved) == fingerprint(t)
+
+
+def test_fingerprint_classes_match_unmemoized():
+    for n in range(1, 6):
+        groups = defaultdict(list)
+        for t in enumerate_trees(n):
+            groups[fingerprint(t)].append(t)
+        reference = [sorted(g, key=lambda t: t.text) for g in groups.values()]
+        reference.sort(key=lambda g: g[0].text)
+        assert fingerprint_classes(n) == reference
+
+
+def test_fingerprint_classes_fingerprint_each_form_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fingerprint(t)
+
+    monkeypatch.setattr(minors, "fingerprint", counted)
+    assert len(fingerprint_classes(6)) == 147
+    assert len(calls) == 189
 
 
 # --- exports -----------------------------------------------------------------
