@@ -13,18 +13,22 @@ right-handed trefoil fibre) has signature +2.
 From the matrix V everything else is classical and computed exactly:
 
 * Betti number ``n`` of the surface = number of bands,
-* boundary components ``b = n - rank(V - V^T) + 1``,
-* genus ``g = rank(V - V^T) / 2`` (minimal over all Seifert surfaces,
-  because the plumbed surface is a fibre),
+* genus ``g = rank(V - V^T) / 2``, which on a tree is the matching
+  number ``nu(T)`` (minimal over all Seifert surfaces, because the
+  plumbed surface is a fibre),
+* boundary components ``b = n - 2g + 1``,
 * Alexander polynomial ``det(V - t V^T)``, normalized to lowest exponent
   0 and positive leading coefficient,
-* signature and nullity of ``V + V^T``,
+* signature and nullity of ``V + V^T``, which is congruent to
+  ``2E + A(T)`` (E the diagonal of signs, A the adjacency matrix),
 * link determinant ``|Delta(-1)|``.
 
-No floating point is used anywhere: determinants are fraction-free
-integer eliminations, the polynomial is recovered by exact interpolation
-at integer points, and signatures come from rational congruence
-diagonalization.
+No floating point is used anywhere.  Genus, boundary count, signature
+and nullity are linear passes over the tree that ``V`` is supported on:
+a greedy matching from the leaves up, and Jacobs-Trevisan
+diagonalization over exact rationals.  Only the Alexander polynomial
+uses dense linear algebra: fraction-free integer determinants at
+integer points, then exact interpolation.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ class SeifertMatrix:
             raise ValueError("entries must form a nonempty square matrix")
         if any(self.entries[i][i] not in (1, -1) for i in range(n)):
             raise ValueError("diagonal entries must be +-1")
-        edges = []
+        edges = 0
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = self.entries[i][j], self.entries[j][i]
@@ -159,22 +163,11 @@ class SeifertMatrix:
                     raise ValueError(
                         f"off-diagonal pair ({i},{j}) must be a single +-1 against a 0"
                     )
-                edges.append((i, j))
-        if len(edges) != n - 1:
+                edges += 1
+        if edges != n - 1:
             raise ValueError("off-diagonal support must have n-1 edges")
         # Connectivity of the support (acyclicity follows from the count).
-        adj = [[] for _ in range(n)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for k in adj[stack.pop()]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        if len(seen) != n:
+        if len(_support_tree(self)[2]) != n:
             raise ValueError("off-diagonal support must be connected")
 
     @property
@@ -217,7 +210,7 @@ class Fingerprint:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra.
+# Exact linear algebra for the Alexander polynomial.
 # ---------------------------------------------------------------------------
 
 
@@ -242,86 +235,6 @@ def _det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in rows]
-    m = len(a)
-    ncols = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(row + 1, m):
-            for j in range(col + 1, ncols):
-                a[i][j] = (a[i][j] * a[row][col] - a[i][col] * a[row][j]) // prev
-            a[i][col] = 0
-        prev = a[row][col]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def _signature_nullity(rows) -> tuple[int, int]:
-    """Signature and nullity of a symmetric matrix over exact rationals.
-
-    Congruence diagonalization with symmetric pivoting; when the working
-    block has an all-zero diagonal, a nonzero pair ``A[i][j]`` is split
-    off as a hyperbolic 2x2 block, contributing rank 2 and signature 0.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    pos = neg = null = 0
-    while a:
-        n = len(a)
-        p = next((i for i in range(n) if a[i][i] != 0), None)
-        if p is not None:
-            if p != 0:
-                _sym_swap(a, 0, p)
-            d = a[0][0]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            a = [
-                [a[i][j] - a[i][0] * a[0][j] / d for j in range(1, n)]
-                for i in range(1, n)
-            ]
-            continue
-        pair = next(
-            ((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j] != 0), None
-        )
-        if pair is None:
-            null += n
-            break
-        i, j = pair  # i < j, and j stays put when row i moves to the front
-        if i != 0:
-            _sym_swap(a, 0, i)
-        if j != 1:
-            _sym_swap(a, 1, j)
-        d = a[0][1]
-        pos += 1
-        neg += 1
-        a = [
-            [
-                a[r][s] - (a[r][0] * a[1][s] + a[r][1] * a[0][s]) / d
-                for s in range(2, n)
-            ]
-            for r in range(2, n)
-        ]
-    return pos - neg, null
-
-
-def _sym_swap(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
 def _interpolate_int(values: list[int]) -> list[int]:
     """Integer coefficients of the polynomial taking ``values`` at 0..d."""
     d = len(values) - 1
@@ -343,6 +256,74 @@ def _interpolate_int(values: list[int]) -> list[int]:
             raise ArithmeticError("interpolation of integer data must be integral")
         out.append(int(c))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Passes over the support tree.  A tree is given as signs, parents and a
+# top-down vertex order; walking the order backwards visits every child
+# before its parent.
+# ---------------------------------------------------------------------------
+
+
+def _support_tree(m: SeifertMatrix) -> tuple[list[int], list[int | None], list[int]]:
+    """Signs, parents and a breadth-first order of the tree ``m`` lives on."""
+    e = m.entries
+    n = m.size
+    parents: list[int | None] = [None] * n
+    seen = [False] * n
+    seen[0] = True
+    order = [0]
+    for v in order:
+        for u in range(n):
+            if not seen[u] and (e[v][u] or e[u][v]):
+                seen[u] = True
+                parents[u] = v
+                order.append(u)
+    return [e[v][v] for v in range(n)], parents, order
+
+
+def _matching_number(parents, order) -> int:
+    """Maximum matching size: match each still-free vertex to a free parent.
+
+    A vertex left free when its parent is reached has only matched
+    children, so it is a leaf of what remains and matching it up is optimal.
+    """
+    free = [True] * len(parents)
+    nu = 0
+    for v in reversed(order):
+        p = parents[v]
+        if p is not None and free[v] and free[p]:
+            free[v] = free[p] = False
+            nu += 1
+    return nu
+
+
+def _signature_nullity(signs, parents, order) -> tuple[int, int]:
+    """Signature and nullity of ``V + V^T``, congruent to ``2E + A(T)``.
+
+    Jacobs-Trevisan diagonalization: each vertex starts at twice its sign
+    and takes ``-1/a(c)`` from every live child ``c``; a vertex with a zero
+    child instead sets that child to 2, itself to -1/2, and is cut from its
+    parent.  The edge units only enter squared, so their signs and slots
+    do not matter.
+    """
+    a = [Fraction(2 * s) for s in signs]
+    zero_child: list[int | None] = [None] * len(signs)
+    for v in reversed(order):
+        c = zero_child[v]
+        if c is not None:
+            a[c], a[v] = Fraction(2), Fraction(-1, 2)
+            continue
+        p = parents[v]
+        if p is None:
+            continue
+        if a[v]:
+            a[p] -= 1 / a[v]
+        else:
+            zero_child[p] = v
+    pos = sum(x > 0 for x in a)
+    neg = sum(x < 0 for x in a)
+    return pos - neg, len(a) - pos - neg
 
 
 # ---------------------------------------------------------------------------
@@ -373,30 +354,6 @@ def betti(t: PlaneTree) -> int:
     return t.size
 
 
-def _skew_part(m: SeifertMatrix) -> list[list[int]]:
-    e = m.entries
-    n = m.size
-    return [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
-
-
-def _sym_part(m: SeifertMatrix) -> list[list[int]]:
-    e = m.entries
-    n = m.size
-    return [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
-
-
-def _boundary_of_matrix(m: SeifertMatrix) -> int:
-    rank = _rank_int(_skew_part(m))
-    return m.size - rank + 1
-
-
-def _genus_of_matrix(m: SeifertMatrix) -> int:
-    rank = _rank_int(_skew_part(m))
-    if rank % 2:
-        raise ArithmeticError("skew-symmetric part must have even rank")
-    return rank // 2
-
-
 def _alexander_of_matrix(m: SeifertMatrix) -> LaurentPolynomial:
     e = m.entries
     n = m.size
@@ -408,13 +365,14 @@ def _alexander_of_matrix(m: SeifertMatrix) -> LaurentPolynomial:
 
 
 def boundary_components(t: PlaneTree) -> int:
-    """Number of boundary circles of the plumbed surface: n - rank(V - V^T) + 1."""
-    return _boundary_of_matrix(seifert_matrix(t))
+    """Number of boundary circles of the plumbed surface: ``n - 2 nu(T) + 1``."""
+    return t.size - 2 * genus(t) + 1
 
 
 def genus(t: PlaneTree) -> int:
-    """Genus of the plumbed surface, which is the genus of its boundary link."""
-    return _genus_of_matrix(seifert_matrix(t))
+    """Genus of the plumbed surface (and of its boundary link): the
+    matching number ``nu(T)``, since ``rank(V - V^T) = 2 nu(T)`` on a tree."""
+    return _matching_number(t.parents, t.preorder())
 
 
 def alexander(t: PlaneTree) -> LaurentPolynomial:
@@ -429,12 +387,12 @@ def alexander(t: PlaneTree) -> LaurentPolynomial:
 
 def signature(t: PlaneTree) -> int:
     """Signature of ``V + V^T`` (the link signature of the boundary)."""
-    return _signature_nullity(_sym_part(seifert_matrix(t)))[0]
+    return _signature_nullity(t.labels, t.parents, t.preorder())[0]
 
 
 def nullity(t: PlaneTree) -> int:
     """Nullity of ``V + V^T``."""
-    return _signature_nullity(_sym_part(seifert_matrix(t)))[1]
+    return _signature_nullity(t.labels, t.parents, t.preorder())[1]
 
 
 def determinant(t: PlaneTree) -> int:
@@ -445,16 +403,19 @@ def determinant(t: PlaneTree) -> int:
 def fingerprint_of_matrix(m: SeifertMatrix) -> Fingerprint:
     """All invariants computed from a Seifert matrix alone.
 
-    Congruent matrices (in particular any re-signing ``D V D`` by a
-    diagonal of +-1) produce identical fingerprints.
+    ``n``, ``b``, ``g``, signature and nullity depend only on the signs
+    and the tree of nonzero off-diagonal slots, so permuting the basis,
+    re-signing by a diagonal of +-1 or moving an edge's unit to its other
+    slot cannot change them.  Nor can they change Delta: every term of
+    ``det(V - t V^T)`` takes an edge's two slots together, as ``-t``.
     """
+    signs, parents, order = _support_tree(m)
     n = m.size
-    b = _boundary_of_matrix(m)
-    g = _genus_of_matrix(m)
+    g = _matching_number(parents, order)
+    sig, nul = _signature_nullity(signs, parents, order)
     delta = _alexander_of_matrix(m)
-    sig, nul = _signature_nullity(_sym_part(m))
     det = abs(delta.evaluate(-1))
-    return Fingerprint(n, b, g, delta, sig, det, nul)
+    return Fingerprint(n, n - 2 * g + 1, g, delta, sig, det, nul)
 
 
 def fingerprint(t: PlaneTree) -> Fingerprint:
@@ -469,12 +430,13 @@ def top_defect_upper_bound(t: PlaneTree) -> int:
     bound for the topological 4-genus of a knot, so the genus defect
     ``g - g4`` is at most this value.
     """
-    m = seifert_matrix(t)
-    b = _boundary_of_matrix(m)
+    order = t.preorder()
+    g = _matching_number(t.parents, order)
+    b = t.size - 2 * g + 1
     if b != 1:
         raise ValueError(f"not a knot: boundary has {b} components")
-    sig, _ = _signature_nullity(_sym_part(m))
-    return _genus_of_matrix(m) - abs(sig) // 2
+    sig, _ = _signature_nullity(t.labels, t.parents, order)
+    return g - abs(sig) // 2
 
 
 def smooth_defect_guarantee(t: PlaneTree) -> bool:

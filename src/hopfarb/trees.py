@@ -18,8 +18,10 @@ Whitespace may appear between tokens.  The canonical text of a tree is the
 same grammar with no whitespace; it is the identity key for equality and
 hashing.
 
-:class:`PlaneTree` is the one tree representation.  Every operation on it
-is iterative, so tree depth is bounded by memory, not by recursion limits.
+:class:`PlaneTree` is the one tree representation.  Nothing in this
+module recurses, the enumeration included, so tree depth and size are
+bounded by memory, not by recursion limits: ``enumerate_trees(n)`` yields
+its first tree at once for any ``n``.
 """
 
 from __future__ import annotations
@@ -260,21 +262,25 @@ def count(n: int) -> int:
 
 
 def _paren_strings(pairs: int) -> Iterator[str]:
-    # Lexicographic generation: try '(' before ')' at every slot.
-    def gen(prefix: list[str], opens_left: int, balance: int) -> Iterator[str]:
-        if opens_left == 0 and balance == 0:
-            yield "".join(prefix)
+    # Lexicographic order with '(' before ')'.  The successor of a word
+    # turns its last '(' that has an open '(' before it into ')' and
+    # refills the rest with every remaining '(' first.
+    s = ["("] * pairs + [")"] * pairs
+    while True:
+        yield "".join(s)
+        balance = opens = 0  # balance before s[i]; count of '(' in s[i:]
+        for i in range(2 * pairs - 1, -1, -1):
+            if s[i] == "(":
+                balance -= 1
+                opens += 1
+                if balance > 0:
+                    break
+            else:
+                balance += 1
+        else:
             return
-        if opens_left > 0:
-            prefix.append("(")
-            yield from gen(prefix, opens_left - 1, balance + 1)
-            prefix.pop()
-        if balance > 0:
-            prefix.append(")")
-            yield from gen(prefix, opens_left, balance - 1)
-            prefix.pop()
-
-    yield from gen([], pairs, 0)
+        tail = 2 * pairs - 1 - i
+        s[i:] = [")"] + ["("] * opens + [")"] * (tail - opens)
 
 
 def _shape_from_parens(s: str) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:

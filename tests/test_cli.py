@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfarb import minors
 from hopfarb.cli import run
+from hopfarb.trees import random_tree
 
 
 def out_of(capsys):
@@ -72,6 +77,13 @@ def test_enum_with_limit(capsys):
     assert run(["enum", "--size", "2", "--limit", "2"]) == 0
     out, _ = out_of(capsys)
     assert out == "+(+)\n+(-)\n"
+
+
+def test_enum_first_tree_of_size_2000(capsys):
+    assert run(["enum", "--size", "2000", "--limit", "1"]) == 0
+    out, err = out_of(capsys)
+    assert out == "+(" * 1999 + "+" + ")" * 1999 + "\n"
+    assert err == ""
 
 
 def test_negative_limit_is_usage_error(capsys):
@@ -225,3 +237,50 @@ def test_import_starts_no_process_pool():
     code = "import sys, hopfarb; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+# --- exit contract: 0, 1 or 2 on every input, never a traceback ---------------
+
+
+def _run_captured(argv):
+    # An exception escaping ``run`` is what ``main`` would print as a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+# Short texts (about 40 characters, so at most about 20 vertices) because
+# Delta is still a dense computation.  Valid trees are drawn separately, as
+# arbitrary text is almost never one.
+tree_texts = st.text(st.sampled_from("+-(), ") | st.characters(), max_size=40) | st.builds(
+    lambda n, seed: random_tree(n, seed).text, st.integers(1, 12), st.integers(0, 2**32)
+)
+
+
+@settings(deadline=None)
+@given(tree_texts, st.sampled_from(("text", "json")))
+def test_parse_and_inv_exit_contract(text, fmt):
+    for verb in ("parse", "inv"):
+        _run_captured([verb, "--tree", text, "--format", fmt])
+
+
+@settings(deadline=None)
+@given(tree_texts, tree_texts, st.booleans())
+def test_embed_exit_contract(sub, sup, witness):
+    _run_captured(["embed", "--sub", sub, "--super", sup] + ["--witness"] * witness)
+
+
+# Sizes up to 10**4 keep each run under about a second; larger ones are
+# not rejected, they only take longer.
+sizes = st.integers(-(10**30), 0) | st.integers(1, 10**4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sizes, st.integers(-(10**30), 10**30))
+def test_numeric_options_exit_contract(size, seed):
+    _run_captured(["count", str(size)])
+    _run_captured(["enum", "--size", str(size), "--limit", "1"])
+    _run_captured(["random", "--size", str(size), "--seed", str(seed)])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfarb.embedding import (
     EmbeddingWitness,
@@ -8,7 +10,15 @@ from hopfarb.embedding import (
     oracle_embeds,
     verify_witness,
 )
-from hopfarb.trees import contract_path, delete_leaf, parse, strip_root
+from hopfarb.trees import (
+    PlaneTree,
+    contract_path,
+    delete_leaf,
+    parse,
+    random_tree,
+    reductions,
+    strip_root,
+)
 
 
 # --- decision examples -------------------------------------------------------
@@ -153,6 +163,35 @@ def test_dp_agrees_with_oracle_full(u4, u6):
         reachable = operation_closure(t2)
         for t1 in u4.trees:
             assert embeds(t1, t2) == (t1.text in reachable), (t1.text, t2.text)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+    st.sampled_from(("random", "minor", "minor with one sign flipped")),
+    st.randoms(use_true_random=False),
+)
+def test_dp_witness_and_oracle_agree_on_random_pairs(n1, n2, seed, kind, rnd):
+    t2 = random_tree(n2, seed)
+    if kind == "random":
+        t1 = random_tree(n1, seed + 1)
+    else:  # a chain of reductions, so that many pairs do embed
+        t1 = t2
+        for _ in range(rnd.randrange(n2)):
+            t1 = rnd.choice(list(reductions(t1)))
+        if kind == "minor with one sign flipped":
+            labels = list(t1.labels)
+            v = rnd.randrange(t1.size)
+            labels[v] = -labels[v]
+            t1 = PlaneTree(tuple(labels), t1.parents, t1.children, t1.root)
+    decided = embeds(t1, t2)
+    assert decided == oracle_embeds(t1, t2), (t1.text, t2.text)
+    w = embed_witness(t1, t2)
+    assert (w is not None) == decided
+    if w is not None:
+        assert verify_witness(t1, t2, w)
 
 
 # --- quasi-order axioms and closure consistency ------------------------------

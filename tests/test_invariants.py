@@ -2,14 +2,16 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_reference import dense_invariants, rank_int, skew_part, sym_part
+from hopfarb import invariants
 from hopfarb.embedding import embeds
 from hopfarb.invariants import (
     Fingerprint,
     LaurentPolynomial,
     SeifertMatrix,
-    _rank_int,
-    _sym_part,
     alexander,
     betti,
     boundary_components,
@@ -177,7 +179,7 @@ def test_nullity_examples(u5):
     assert nullity(parse("+")) == 0
     for t in u5.trees:
         # rank-nullity against an independent rank computation
-        assert nullity(t) + _rank_int(_sym_part(seifert_matrix(t))) == t.size
+        assert nullity(t) + rank_int(sym_part(seifert_matrix(t))) == t.size
 
 
 # --- cross-validation sweeps -------------------------------------------------
@@ -200,7 +202,7 @@ def test_determinant_is_det_of_symmetrized_matrix(u5):
     from hopfarb.invariants import _det_int
 
     for t in u5.trees:
-        assert determinant(t) == abs(_det_int(_sym_part(seifert_matrix(t))))
+        assert determinant(t) == abs(_det_int(sym_part(seifert_matrix(t))))
 
 
 def test_genus_and_boundary_via_matching_oracle(u6):
@@ -212,18 +214,65 @@ def test_genus_and_boundary_via_matching_oracle(u6):
         assert boundary_components(t) == t.size - 2 * m + 1
 
 
+# A vertex of value 0 below a vertex that has a parent: the pivot pass
+# must cut that vertex from its parent, and here the cut changes the
+# parent's sign (no tree with n <= 6 shows this).
+CUT_BELOW_ROOT = ["-(+(+(+,+,+,+)))", "-(-(-(-,-,-,-)))", "-(+(+,-(-,-,-,-)))"]
+
+
+def test_tree_passes_match_dense_reference(u6):
+    for t in [*u6.trees, *map(parse, CUT_BELOW_ROOT)]:
+        got = (boundary_components(t), genus(t), signature(t), nullity(t))
+        assert got == dense_invariants(seifert_matrix(t)), t.text
+
+
+def _path(signs):
+    return parse("(".join(signs) + ")" * (len(signs) - 1))
+
+
+def test_tree_passes_on_10_4_vertices(monkeypatch):
+    n = 10**4
+    alternating, positive = _path("+-" * (n // 2)), _path("+" * n)
+    # Centre +, 5002 positive and 4998 negative leaves: the centre's pivot
+    # 2 - 5002/2 + 4998/2 is 0, so the nullity is 1.
+    star = parse("+(" + ",".join(["+"] * 5002 + ["-"] * 4998) + ")")
+    big = random_tree(n, 1)
+
+    def no_matrix(*args):
+        raise AssertionError("an n x n matrix was built")
+
+    monkeypatch.setattr(invariants, "seifert_matrix", no_matrix)
+    monkeypatch.setattr(invariants, "SeifertMatrix", no_matrix)
+    # On a path every pivot keeps its vertex's sign and exceeds 1 in size.
+    for t in (alternating, positive):
+        assert genus(t) == n // 2
+        assert boundary_components(t) == 1
+        assert signature(t) == sum(t.labels)
+        assert nullity(t) == 0
+    assert signature(positive) == n
+    assert top_defect_upper_bound(alternating) == n // 2
+    assert top_defect_upper_bound(positive) == 0
+    assert (genus(star), boundary_components(star)) == (1, star.size - 1)
+    assert (signature(star), nullity(star)) == (4, 1)
+    with pytest.raises(ValueError, match="not a knot"):
+        top_defect_upper_bound(star)
+    g, sig, nul = genus(big), signature(big), nullity(big)
+    assert g == tree_matching_number(big)
+    assert boundary_components(big) == n - 2 * g + 1
+    assert abs(sig) + nul <= n and (sig + nul - n) % 2 == 0
+
+
 def test_genus_identity_universe_8():
     # g = (n + 1 - b)/2 with integer g for every tree of size <= 8; the
     # skew-symmetric part always has even rank.
-    from hopfarb.invariants import _skew_part
-
     for n in range(1, 9):
         for t in enumerate_trees(n):
-            rank = _rank_int(_skew_part(seifert_matrix(t)))
+            rank = rank_int(skew_part(seifert_matrix(t)))
             assert rank % 2 == 0
             b = n - rank + 1
             assert 2 * (rank // 2) == n + 1 - b
             assert tree_matching_number(t) * 2 == rank
+            assert (genus(t), boundary_components(t)) == (rank // 2, b)
 
 
 def test_monic_alexander_for_knot_trees(u5):
@@ -290,6 +339,27 @@ def test_basis_flip_invariance_seeded():
             )
         )
         assert fingerprint_of_matrix(flipped) == fingerprint_of_matrix(v)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_fingerprint_of_matrix_reads_only_the_support_tree(n, seed, rnd):
+    # Permute the basis, put each edge's unit in a random slot with a
+    # random sign, then re-sign by a random +-1 diagonal congruence.
+    t = random_tree(n, seed)
+    name = list(range(n))
+    rnd.shuffle(name)
+    e = [[0] * n for _ in range(n)]
+    for v, p in enumerate(t.parents):
+        e[name[v]][name[v]] = t.labels[v]
+        if p is not None:
+            i, j = (name[p], name[v]) if rnd.random() < 0.5 else (name[v], name[p])
+            e[i][j] = rnd.choice((1, -1))
+    d = [rnd.choice((1, -1)) for _ in range(n)]
+    m = SeifertMatrix(tuple(tuple(d[i] * d[j] * e[i][j] for j in range(n)) for i in range(n)))
+    fp = fingerprint_of_matrix(m)
+    assert (fp.b, fp.g, fp.signature, fp.nullity) == dense_invariants(m)
+    assert fp == fingerprint(t)
 
 
 # --- defect bounds -----------------------------------------------------------
