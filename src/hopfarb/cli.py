@@ -10,6 +10,7 @@ diagnostic on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -144,7 +145,7 @@ def _dispatch(args) -> int:
                 break
             print(t.text)
     elif args.verb == "count":
-        print(count(args.n))
+        print(decimal.Decimal(count(args.n)))  # str(int) stops at 4,300 digits
     elif args.verb == "inv":
         for t in _input_trees(args):
             fp = fingerprint(t)
@@ -184,9 +185,9 @@ def _dispatch(args) -> int:
     elif args.verb == "audit":
         guard = _guard(args, minors.DEFAULT_POSET_GUARD)
         violations = minors.audit_monotone(args.quantity, args.max_size, max_nmax=guard)
-        u = minors.universe(args.max_size)
+        trees = minors.universe(args.max_size).trees if violations else ()
         for i, j in violations:
-            print(f"{u.trees[i].text}\t{u.trees[j].text}")
+            print(f"{trees[i].text}\t{trees[j].text}")
         print(f"violations: {len(violations)}")
     elif args.verb == "classes":
         for cls in minors.fingerprint_classes(args.size):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import PlaneTree, reductions
+from .trees import PlaneTree, _reduction_texts, parse
 
 __all__ = [
     "EmbeddingWitness",
@@ -123,8 +123,6 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
     sibling matches are resolved leftmost-first, and each child's image is
     the preorder-first feasible vertex of its assigned subtree.
     """
-    if t1.size > t2.size:
-        return None
     emb, sub = _embedding_tables(t1, t2)
     root_row = emb[t1.root]
     anchor = next((v for v in t2.preorder() if root_row[v]), None)
@@ -240,21 +238,13 @@ def operation_closure(t: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> fro
     seen = {t.text}
     frontier = [t]
     while frontier:
-        cur = frontier.pop()
-        for nxt in reductions(cur):
-            if nxt.text not in seen:
-                seen.add(nxt.text)
-                frontier.append(nxt)
+        for text in _reduction_texts(frontier.pop()):
+            if text not in seen:
+                seen.add(text)
+                frontier.append(parse(text))
     return frozenset(seen)
 
 
 def oracle_embeds(t1: PlaneTree, t2: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> bool:
     """Decide embedding by exhaustive reachability; exponential, small inputs only."""
-    if t2.size > max_size:
-        raise ValueError(
-            f"operation-closure guard exceeded: tree has {t2.size} vertices, "
-            f"guard is {max_size}"
-        )
-    if t1.size > t2.size:
-        return False
     return t1.text in operation_closure(t2, max_size)

@@ -41,7 +41,7 @@ from .invariants import (
     signature,
     top_defect_upper_bound,
 )
-from .trees import PlaneTree, count, enumerate_trees, reductions
+from .trees import PlaneTree, _reduction_texts, count, enumerate_trees
 
 __all__ = [
     "Universe",
@@ -117,7 +117,7 @@ def _order(u: Universe) -> tuple[list[list[int]], list[int]]:
     covers: list[list[int]] = []
     down: list[int] = []
     for t in u.trees:
-        below = sorted({index[r.text] for r in reductions(t)})
+        below = sorted({index[r] for r in _reduction_texts(t)})
         d = 0
         for r in below:
             d |= 1 << r | down[r]

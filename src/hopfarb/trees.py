@@ -18,7 +18,9 @@ Whitespace may appear between tokens.  The canonical text of a tree is the
 same grammar with no whitespace; it is the identity key for equality and
 hashing.
 
-:class:`PlaneTree` is the one tree representation.  Nothing in this
+:class:`PlaneTree` is the one tree representation.  Vertices appear in
+the canonical text in preorder, so each reduction is a splice of that
+text, and the reduced tree comes from :func:`parse`.  Nothing in this
 module recurses, the enumeration included, so tree depth and size are
 bounded by memory, not by recursion limits: ``enumerate_trees(n)`` yields
 its first tree at once for any ``n``.
@@ -29,8 +31,9 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import comb
-from typing import Collection, Iterator
+from typing import Iterator
 
 __all__ = [
     "PlaneTree",
@@ -364,28 +367,28 @@ def random_tree(n: int, seed: int) -> PlaneTree:
 
 
 # ---------------------------------------------------------------------------
-# Reduction operations.  Each returns a fresh preorder-numbered tree and
-# leaves its input untouched; all of them are one splice.
+# Reduction operations.  Vertices appear in the canonical text in preorder,
+# so removing one is a splice of that text; each operation returns
+# ``parse`` of the spliced text and leaves its input untouched.
 # ---------------------------------------------------------------------------
 
 
-def _splice(t: PlaneTree, gone: Collection[int]) -> PlaneTree:
-    # Remove the vertices in ``gone``, each with at most one child; that
-    # child takes its removed parent's slot.  The survivors keep their
-    # preorder, so they are renumbered in one pass.
-    slot: list[int | None] = [None] * t.size  # new index of v, or of its nearest kept ancestor
-    labels: list[int] = []
-    parents: list[int | None] = []
-    for v in t.preorder():
-        p = t.parents[v]
-        up = None if p is None else slot[p]
-        if v in gone:
-            slot[v] = up
-        else:
-            slot[v] = len(labels)
-            labels.append(t.labels[v])
-            parents.append(up)
-    return _from_parents(labels, parents)
+def _splice(t: PlaneTree, v: int, k: int = 1) -> str:
+    # Canonical text of ``t`` without vertex ``v``.  A chain s1(...sk(X)...)
+    # of k single-child vertices starting at ``v`` becomes X; a leaf goes
+    # with one adjacent comma, or with its parentheses as an only child.
+    text = t.text
+    i = [j for j, c in enumerate(text) if c in _CHAR_SIGN][t.preorder().index(v)]
+    if text[i + 1 : i + 2] == "(":
+        # The chain's subtree text ends at the ')' that brings depth back to 0.
+        depth = accumulate((c == "(") - (c == ")") for c in text[i + 1 :])
+        e = i + 2 + next(j for j, d in enumerate(depth) if not d)
+        return text[:i] + text[i + 2 * k : e - k] + text[e:]
+    if text[i - 1] == "(" and text[i + 1] == ")":
+        return text[: i - 1] + text[i + 2 :]
+    if text[i + 1] == ",":
+        return text[:i] + text[i + 2 :]
+    return text[: i - 1] + text[i + 1 :]
 
 
 def delete_leaf(t: PlaneTree, v: int) -> PlaneTree:
@@ -394,7 +397,7 @@ def delete_leaf(t: PlaneTree, v: int) -> PlaneTree:
         raise ValueError(f"vertex {v} is not a leaf")
     if t.size == 1:
         raise ValueError("cannot delete the only vertex of a tree")
-    return _splice(t, (v,))
+    return parse(_splice(t, v))
 
 
 def strip_root(t: PlaneTree) -> PlaneTree:
@@ -402,7 +405,7 @@ def strip_root(t: PlaneTree) -> PlaneTree:
     kids = t.children[t.root]
     if len(kids) != 1:
         raise ValueError(f"root has {len(kids)} children, expected exactly 1")
-    return _splice(t, (t.root,))
+    return parse(_splice(t, t.root))
 
 
 def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
@@ -425,7 +428,17 @@ def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
             raise ValueError(f"interior vertex {x} has {len(t.children[x])} children, expected 1")
     if not interior:
         return t
-    return _splice(t, set(interior))
+    return parse(_splice(t, interior[-1], len(interior)))
+
+
+def _reduction_texts(t: PlaneTree) -> Iterator[str]:
+    # Canonical texts of the reductions of ``t``, in the order of `reductions`.
+    removable = [v for v in range(t.size) if t.is_leaf(v)] if t.size > 1 else []
+    if len(t.children[t.root]) == 1:
+        removable.append(t.root)
+    removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
+    for v in removable:
+        yield _splice(t, v)
 
 
 def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
@@ -436,12 +449,7 @@ def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
     path contractions are chains of these, so the reflexive-transitive
     closure of this step is the embedding order.
     """
-    removable = [v for v in range(t.size) if t.is_leaf(v)] if t.size > 1 else []
-    if len(t.children[t.root]) == 1:
-        removable.append(t.root)
-    removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
-    for v in removable:
-        yield _splice(t, (v,))
+    return map(parse, _reduction_texts(t))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hopfarb import minors
 from hopfarb.cli import run
-from hopfarb.trees import random_tree
+from hopfarb.trees import count, random_tree
 
 
 def out_of(capsys):
@@ -62,6 +62,18 @@ def test_count(capsys):
     assert run(["count", "4"]) == 0
     out, _ = out_of(capsys)
     assert out == "80\n"
+
+
+def test_count_beyond_the_int_to_str_digit_limit(capsys):
+    assert run(["count", "5000"]) == 0
+    out, _ = out_of(capsys)
+    assert len(out.rstrip()) == 4510
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{count(5000)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_count_domain_error(capsys):
@@ -206,10 +218,15 @@ def test_classes(capsys):
     assert out == "+(+)\n+(-) -(+)\n-(-)\n"
 
 
-def test_classes_size_6_matches_benchmark_golden(capsys):
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-    want = json.loads(golden.read_text(encoding="utf-8"))["stdout"]["classes --size 6"]
-    assert run(["classes", "--size", "6"]) == 0
+BENCHMARK_GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)["stdout"]
+
+
+@pytest.mark.parametrize("verb", sorted(BENCHMARK_GOLDEN))
+def test_sweep_matches_benchmark_golden(verb, capsys):
+    want = BENCHMARK_GOLDEN[verb]
+    assert run(verb.split()) == 0
     out, _ = out_of(capsys)
     data = out.encode("utf-8")
     assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])

@@ -22,6 +22,8 @@ from hopfarb.trees import (
     tree_to_json_obj,
     unrank,
 )
+from splice_reference import path_interior, splice
+from splice_reference import reductions as reference_reductions
 
 
 # --- grammar -----------------------------------------------------------------
@@ -295,6 +297,30 @@ def test_reductions_remove_one_vertex():
     for n in range(2, 6):
         for t in enumerate_trees(n):
             assert all(r.size == n - 1 for r in reductions(t))
+
+
+def test_reductions_match_structural_reference_up_to_7():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
+
+
+@settings(deadline=None)
+@given(plane_trees())
+def test_reduction_operations_match_structural_reference(t):
+    # Vertices numbered in a random order, so the text splice must map
+    # each vertex to its preorder position first.
+    assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
+    for v in range(t.size):
+        if t.is_leaf(v) and t.size > 1:
+            assert delete_leaf(t, v).text == splice(t, {v}).text
+    if len(t.children[t.root]) == 1:
+        assert strip_root(t).text == splice(t, {t.root}).text
+    for u in range(t.size):
+        for w in range(t.size):
+            interior = path_interior(t, u, w)
+            if interior is not None and all(len(t.children[x]) == 1 for x in interior):
+                assert contract_path(t, u, w).text == splice(t, set(interior)).text
 
 
 def test_deep_and_wide_trees():
