@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import PlaneTree, _reduction_texts, parse
+from .trees import PlaneTree, _reduction_texts, _upward_closure, parse
 
 __all__ = [
     "EmbeddingWitness",
@@ -53,52 +53,51 @@ class EmbeddingWitness:
         }
 
 
-def _embedding_tables(t1: PlaneTree, t2: PlaneTree):
-    """Bottom-up DP tables.
+def _hosting(t1: PlaneTree, u: int, t2: PlaneTree, among, sub: list):
+    """Yield the vertices ``v`` of ``among`` that host ``u``.
 
-    ``emb[u][v]``: the subtree of ``T1`` at ``u`` embeds with ``u`` mapped
-    exactly to ``v``.  ``sub[u][v]``: it embeds with ``u`` mapped to ``v``
-    or to some descendant of ``v``.  ``emb[u][v]`` requires equal signs
-    and an order-preserving assignment of the children of ``u`` into
-    distinct children subtrees of ``v``; the leftmost-feasible greedy
-    assignment is complete for this matching.
+    ``v`` hosts ``u`` when the subtree at ``u`` embeds with ``u`` mapped to
+    ``v``: the signs agree and the children of ``u`` go, in order, into
+    distinct children subtrees of ``v`` (``sub[c][d]``: ``c`` embeds at or
+    below ``d``).  The leftmost-feasible greedy assignment is complete.
     """
-    lab1, lab2 = t1.labels, t2.labels
-    ch1, ch2 = t1.children, t2.children
-    n1, n2 = t1.size, t2.size
-    emb = [[False] * n2 for _ in range(n1)]
-    sub = [[False] * n2 for _ in range(n1)]
-    order1 = t1.preorder()
-    for v in reversed(t2.preorder()):
+    lu = t1.labels[u]
+    kids = [sub[c] for c in t1.children[u]]
+    lab2, ch2 = t2.labels, t2.children
+    for v in among:
+        if lab2[v] != lu:
+            continue
         cv = ch2[v]
-        lv = lab2[v]
-        for u in reversed(order1):
-            e = False
-            if lab1[u] == lv:
-                cu = ch1[u]
-                if not cu:
-                    e = True
-                elif len(cu) <= len(cv):
-                    i = 0
-                    e = True
-                    for c in cu:
-                        subc = sub[c]
-                        while i < len(cv) and not subc[cv[i]]:
-                            i += 1
-                        if i == len(cv):
-                            e = False
-                            break
-                        i += 1
-            emb[u][v] = e
-            s = e
-            if not s:
-                subu = sub[u]
-                for d in cv:
-                    if subu[d]:
-                        s = True
-                        break
-            sub[u][v] = s
-    return emb, sub
+        i, m = 0, len(cv)
+        for row in kids:
+            while i < m and not row[cv[i]]:
+                i += 1
+            if i == m:
+                break
+            i += 1
+        else:
+            yield v
+
+
+def _rows(t1: PlaneTree, t2: PlaneTree) -> list | None:
+    """Rows ``sub[u]``: ``sub[u][v]`` says whether ``v`` or a descendant hosts ``u``.
+
+    One row per non-root ``u``; leaves take theirs from ``t2.traversal``.
+    ``None`` when the sign counts rule an embedding out: it is injective
+    and keeps signs, so ``t2`` needs as many vertices of each sign.
+    """
+    order1, _, _, sum1 = t1.traversal
+    _, signed2, below2, sum2 = t2.traversal
+    if abs(sum1 - sum2) > len(t2.labels) - len(t1.labels):
+        return None
+    sub: list = [None] * len(t1.labels)
+    for u in order1[:-1]:  # children first; the root comes last
+        if t1.children[u]:
+            hosts = _hosting(t1, u, t2, signed2[t1.labels[u]], sub)
+            sub[u] = _upward_closure(hosts, t2.parents)
+        else:
+            sub[u] = below2[t1.labels[u]]
+    return sub
 
 
 def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
@@ -106,14 +105,10 @@ def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
 
     The image of the root of ``t1`` may be any vertex of ``t2``: whatever
     lies above it can be pruned by leaf deletions and root removals.
-    An embedding maps vertices injectively and keeps signs, so ``t2``
-    needs at least as many vertices of each sign as ``t1``.
     """
-    if abs(sum(t1.labels) - sum(t2.labels)) > t2.size - t1.size:
-        return False
-    emb, _ = _embedding_tables(t1, t2)
-    row = emb[t1.root]
-    return any(row)
+    sub = _rows(t1, t2)
+    among = t2.traversal[1][t1.labels[t1.root]]
+    return sub is not None and next(_hosting(t1, t1.root, t2, among, sub), None) is not None
 
 
 def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
@@ -123,9 +118,8 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
     sibling matches are resolved leftmost-first, and each child's image is
     the preorder-first feasible vertex of its assigned subtree.
     """
-    emb, sub = _embedding_tables(t1, t2)
-    root_row = emb[t1.root]
-    anchor = next((v for v in t2.preorder() if root_row[v]), None)
+    sub = _rows(t1, t2)
+    anchor = None if sub is None else next(_hosting(t1, t1.root, t2, t2.preorder(), sub), None)
     if anchor is None:
         return None
 
@@ -140,33 +134,14 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
         for c in t1.children[u]:
             while not sub[c][cv[i]]:
                 i += 1
-            d = cv[i]
+            # Down the leftmost subtree holding a host, to the preorder-first one.
+            path = [v, cv[i]]
             i += 1
-            w = next(x for x in _preorder_within(t2, d) if emb[c][x])
-            paths[c] = _descending_path(t2, v, w)
-            stack.append((c, w))
-
-    edge_order = [v for v in t1.preorder() if v != t1.root]
-    return EmbeddingWitness(tuple(vmap), tuple(paths[c] for c in edge_order))
-
-
-def _preorder_within(t: PlaneTree, v: int):
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        yield x
-        stack.extend(reversed(t.children[x]))
-
-
-def _descending_path(t: PlaneTree, top: int, bottom: int) -> tuple[int, ...]:
-    path = [bottom]
-    while path[-1] != top:
-        p = t.parents[path[-1]]
-        if p is None:
-            raise ValueError(f"{bottom} is not a descendant of {top}")
-        path.append(p)
-    path.reverse()
-    return tuple(path)
+            while next(_hosting(t1, c, t2, path[-1:], sub), None) is None:
+                path.append(next(e for e in t2.children[path[-1]] if sub[c][e]))
+            paths[c] = tuple(path)
+            stack.append((c, path[-1]))
+    return EmbeddingWitness(tuple(vmap), tuple(paths[c] for c in t1.preorder()[1:]))
 
 
 def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:

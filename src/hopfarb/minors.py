@@ -15,8 +15,9 @@ The order is generated by the one-vertex reductions of
 enumeration (hence size) order accumulates every tree's strict down-set
 from those of its reductions.  The relation table still grows
 quadratically with the universe, hence the size guard (default 6, about
-3.2k trees).  Mining needs no relation table: each violator is tested
-with the embedding DP against the minimal violators already found.
+3.2k trees).  Mining needs no relation table and holds no universe: it
+enumerates one size at a time, and tests each violator with the
+embedding DP against the minimal violators of smaller sizes.
 Fingerprint classes compute each fingerprint once per unrooted,
 unordered signed tree (189 of them among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
@@ -234,16 +235,18 @@ def minimal_excluded(
 
     A violator with some violator strictly below it also has a minimal
     one there, so in size order each violator is tested only against the
-    minimal violators already found.  This holds for any predicate,
+    minimal violators of smaller sizes.  This holds for any predicate,
     monotone or not.
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     check_guard(nmax, max_nmax)
     minimal: list[PlaneTree] = []
-    for t in universe(nmax).trees:
-        if not evaluate(p, t) and check_excluded_family(t, [m for m in minimal if m.size < t.size]):
-            minimal.append(t)
+    for k in range(1, nmax + 1):
+        smaller = list(minimal)
+        for t in enumerate_trees(k):
+            if not evaluate(p, t) and check_excluded_family(t, smaller):
+                minimal.append(t)
     return sorted(minimal, key=lambda t: t.text)
 
 

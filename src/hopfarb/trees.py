@@ -139,6 +139,22 @@ class PlaneTree:
                 stack[-1] = "("  # the first child follows '(', not ','
         return "".join(out)
 
+    @cached_property
+    def traversal(self) -> tuple[list[int], dict[int, list[int]], dict[int, list[bool]], int]:
+        """``(order, signed, below, label_sum)``, read by the embedding DP.
+
+        ``order`` lists the vertices children first, the root last, and
+        ``signed[s]`` those of sign ``s`` in that order.  ``below[s][v]``
+        says whether ``v`` or a descendant has sign ``s``.  Do not modify.
+        """
+        order = [self.root]
+        for v in order:  # breadth first, then reversed
+            order += self.children[v]
+        order.reverse()
+        signed = {s: [v for v in order if self.labels[v] == s] for s in (POSITIVE, NEGATIVE)}
+        below = {s: _upward_closure(vs, self.parents) for s, vs in signed.items()}
+        return order, signed, below, sum(self.labels)
+
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
 
@@ -172,6 +188,16 @@ class PlaneTree:
         return f"PlaneTree({self.text!r})"
 
 
+def _upward_closure(vertices, parents: tuple[int | None, ...]) -> list[bool]:
+    """A row over the vertices marking ``vertices`` and all their ancestors."""
+    row = [False] * len(parents)
+    for v in vertices:
+        while v is not None and not row[v]:  # marked vertices have marked ancestors
+            row[v] = True
+            v = parents[v]
+    return row
+
+
 def _from_parents(labels: list[int], parents: list[int | None]) -> PlaneTree:
     # Vertices are given in preorder, so each vertex's children are the
     # later vertices naming it as parent, in index order.
@@ -186,7 +212,8 @@ def parse(text: str) -> PlaneTree:
     """Parse tree text into a :class:`PlaneTree` (preorder-numbered).
 
     Raises :class:`TreeSyntaxError` with the offending 0-based offset on
-    malformed input, including empty input and trailing garbage.
+    malformed input, including empty input and trailing garbage.  Input
+    without whitespace is canonical, so it becomes the tree's ``text``.
     """
     n = len(text)
 
@@ -228,7 +255,12 @@ def parse(text: str) -> PlaneTree:
             pos = skip_ws(pos)
             if pos != n:
                 raise TreeSyntaxError(f"unexpected trailing input {text[pos]!r}", pos)
-            return _from_parents(labels, parents)
+            t = _from_parents(labels, parents)
+            # A sign per vertex, ',' or '(' before all but the root, ')' per
+            # '(': nothing else means no whitespace, so ``text`` is canonical.
+            if n == 2 * len(labels) - 1 + text.count("("):
+                t.__dict__["text"] = text  # where the cached property keeps it
+            return t
 
 
 def to_text(t: PlaneTree) -> str:
@@ -373,12 +405,16 @@ def random_tree(n: int, seed: int) -> PlaneTree:
 # ---------------------------------------------------------------------------
 
 
-def _splice(t: PlaneTree, v: int, k: int = 1) -> str:
-    # Canonical text of ``t`` without vertex ``v``.  A chain s1(...sk(X)...)
-    # of k single-child vertices starting at ``v`` becomes X; a leaf goes
-    # with one adjacent comma, or with its parentheses as an only child.
-    text = t.text
-    i = [j for j, c in enumerate(text) if c in _CHAR_SIGN][t.preorder().index(v)]
+def _offsets(t: PlaneTree) -> dict[int, int]:
+    # Offset in ``t.text`` of each vertex's sign; signs appear in preorder.
+    return dict(zip(t.preorder(), (j for j, c in enumerate(t.text) if c in _CHAR_SIGN)))
+
+
+def _splice(text: str, i: int, k: int = 1) -> str:
+    # Canonical ``text`` without the vertex whose sign is at offset ``i``.
+    # A chain s1(...sk(X)...) of k single-child vertices starting there
+    # becomes X; a leaf goes with one adjacent comma, or with its
+    # parentheses as an only child.
     if text[i + 1 : i + 2] == "(":
         # The chain's subtree text ends at the ')' that brings depth back to 0.
         depth = accumulate((c == "(") - (c == ")") for c in text[i + 1 :])
@@ -391,13 +427,19 @@ def _splice(t: PlaneTree, v: int, k: int = 1) -> str:
     return text[: i - 1] + text[i + 1 :]
 
 
+def _check_vertex(t: PlaneTree, v: int) -> None:
+    if not 0 <= v < t.size:
+        raise ValueError(f"vertex {v} out of range for a tree of {t.size} vertices")
+
+
 def delete_leaf(t: PlaneTree, v: int) -> PlaneTree:
     """Remove the leaf ``v`` and its parent edge, preserving sibling order."""
+    _check_vertex(t, v)
     if t.children[v]:
         raise ValueError(f"vertex {v} is not a leaf")
     if t.size == 1:
         raise ValueError("cannot delete the only vertex of a tree")
-    return parse(_splice(t, v))
+    return parse(_splice(t.text, _offsets(t)[v]))
 
 
 def strip_root(t: PlaneTree) -> PlaneTree:
@@ -405,7 +447,7 @@ def strip_root(t: PlaneTree) -> PlaneTree:
     kids = t.children[t.root]
     if len(kids) != 1:
         raise ValueError(f"root has {len(kids)} children, expected exactly 1")
-    return parse(_splice(t, t.root))
+    return parse(_splice(t.text, _offsets(t)[t.root]))
 
 
 def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
@@ -416,6 +458,8 @@ def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
     ``w`` are kept; ``w`` takes the child slot of the path's first
     interior vertex.  A path that is already an edge contracts to itself.
     """
+    _check_vertex(t, u)
+    _check_vertex(t, w)
     interior: list[int] = []
     p = t.parents[w]
     while p is not None and p != u:
@@ -428,7 +472,7 @@ def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
             raise ValueError(f"interior vertex {x} has {len(t.children[x])} children, expected 1")
     if not interior:
         return t
-    return parse(_splice(t, interior[-1], len(interior)))
+    return parse(_splice(t.text, _offsets(t)[interior[-1]], len(interior)))
 
 
 def _reduction_texts(t: PlaneTree) -> Iterator[str]:
@@ -437,8 +481,9 @@ def _reduction_texts(t: PlaneTree) -> Iterator[str]:
     if len(t.children[t.root]) == 1:
         removable.append(t.root)
     removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
+    offset = _offsets(t)
     for v in removable:
-        yield _splice(t, v)
+        yield _splice(t.text, offset[v])
 
 
 def reductions(t: PlaneTree) -> Iterator[PlaneTree]:

@@ -1,6 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import embedding_reference as reference
 
 from hopfarb.embedding import (
     EmbeddingWitness,
@@ -19,6 +23,8 @@ from hopfarb.trees import (
     reductions,
     strip_root,
 )
+from splice_reference import splice
+from strategies import numberings, plane_trees, renumber
 
 
 # --- decision examples -------------------------------------------------------
@@ -192,6 +198,51 @@ def test_dp_witness_and_oracle_agree_on_random_pairs(n1, n2, seed, kind, rnd):
     assert (w is not None) == decided
     if w is not None:
         assert verify_witness(t1, t2, w)
+
+
+# --- full-table reference ----------------------------------------------------
+
+
+def test_dp_matches_table_reference_up_to_5(u5):
+    # The witness itself, not only its validity, on every pair.
+    for t1 in u5.trees:
+        for t2 in u5.trees:
+            w = embed_witness(t1, t2)
+            assert w == reference.embed_witness(t1, t2), (t1.text, t2.text)
+            assert embeds(t1, t2) == (w is not None)
+
+
+@settings(deadline=None)
+@given(plane_trees(8, nonzero_root=True), plane_trees(5, nonzero_root=True), st.data())
+def test_dp_matches_table_reference_on_renumbered_trees(t2, t1, data):
+    # Neither tree is numbered in preorder.  Half the time ``t1`` is a
+    # minor of ``t2``, perhaps with one sign flipped, so that many pairs embed.
+    if data.draw(st.booleans()):
+        removable = [v for v in range(t2.size) if len(t2.children[v]) <= 1]
+        gone = data.draw(st.sets(st.sampled_from(removable), max_size=t2.size - 1))
+        minor = splice(t2, gone)
+        labels = list(minor.labels)
+        if data.draw(st.booleans()):
+            v = data.draw(st.integers(0, minor.size - 1))
+            labels[v] = -labels[v]
+        minor = PlaneTree(tuple(labels), minor.parents, minor.children, minor.root)
+        t1 = renumber(minor, data.draw(numberings(minor.size, nonzero_root=True)))
+    w = embed_witness(t1, t2)
+    assert w == reference.embed_witness(t1, t2), (t1, t2)
+    assert embeds(t1, t2) == (w is not None)
+    if w is not None:
+        assert verify_witness(t1, t2, w)
+
+
+def test_dp_on_a_10_4_vertex_host():
+    host = random_tree(10_000, 7)
+    wide = parse("+(" + ",".join(["+"] * 50) + ")")  # no vertex has 50 children
+    for t1 in (random_tree(12, 3), wide, parse("-")):
+        start = time.perf_counter()
+        decided, w = embeds(t1, host), embed_witness(t1, host)
+        assert time.perf_counter() - start < 1.0
+        assert w == reference.embed_witness(t1, host)
+        assert decided == (w is not None) == (t1 is not wide)
 
 
 # --- quasi-order axioms and closure consistency ------------------------------

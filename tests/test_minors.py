@@ -192,6 +192,16 @@ def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
     assert below_satisfier["genus_le"] == below_satisfier["size_le"] == 0
 
 
+@pytest.mark.parametrize("spec,calls", [("genus_le:1", 44_168), ("all_positive", 3_172)])
+def test_mining_calls_the_dp_through_minors(monkeypatch, spec, calls):
+    # One call per (minimal, violator) pair at size 6; the benchmark's
+    # self-test flips ``minors.embeds`` and needs ``mine`` to call it.
+    seen = []
+    monkeypatch.setattr(minors, "embeds", lambda a, b: seen.append(a) or embeds(a, b))
+    minimal_excluded(Predicate.parse(spec), 6)
+    assert len(seen) == calls
+
+
 def test_mined_family_soundness_and_completeness(u4):
     # Soundness: each mined tree violates p while all its strict minors
     # satisfy it.  Completeness (for minor-monotone predicates only, per

@@ -2,7 +2,6 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hopfarb.embedding import embeds
 from hopfarb.trees import (
@@ -24,6 +23,7 @@ from hopfarb.trees import (
 )
 from splice_reference import path_interior, splice
 from splice_reference import reductions as reference_reductions
+from strategies import plane_trees
 
 
 # --- grammar -----------------------------------------------------------------
@@ -104,21 +104,17 @@ def test_invalid_constructions_rejected():
         PlaneTree((1, 1, 1), (None, 2, 1), ((), (2,), (1,)), 0)
 
 
-@st.composite
-def plane_trees(draw, max_size=12):
-    """Any signed plane tree, its vertices numbered in a random order."""
-    n = draw(st.integers(1, max_size))
-    # Parents earlier than their children, siblings in index order: every
-    # plane tree arises this way, preorder numbering among others.
-    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
-    name = draw(st.permutations(range(n)))
-    labels, parents, children = [0] * n, [None] * n, [[] for _ in range(n)]
-    for v in range(n):
-        labels[name[v]] = draw(st.sampled_from((1, -1)))
-        if parent[v] is not None:
-            parents[name[v]] = name[parent[v]]
-            children[name[parent[v]]].append(name[v])
-    return PlaneTree(tuple(labels), tuple(parents), tuple(map(tuple, children)), name[0])
+def test_parse_keeps_canonical_input_as_text():
+    # Whitespace-free input that parses is the canonical text itself.
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            text = t.text
+            assert parse(text).text is text
+
+
+@pytest.mark.parametrize("text", [" +", "+ (-)", "+(-, +(-))", "+(-,\n+(\t-))\n"])
+def test_parse_rebuilds_text_of_input_with_whitespace(text):
+    assert parse(text).text == "".join(text.split())
 
 
 @settings(deadline=None)
@@ -235,6 +231,18 @@ def test_delete_leaf():
         delete_leaf(t, 0)  # root has children
     with pytest.raises(ValueError):
         delete_leaf(parse("+"), 0)  # would empty the tree
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_reduction_operations_range_check_vertices(bad):
+    t = parse("+(-(+))")
+    message = f"vertex {bad} out of range for a tree of 3 vertices"
+    with pytest.raises(ValueError, match=message):
+        delete_leaf(t, bad)
+    with pytest.raises(ValueError, match=message):
+        contract_path(t, 0, bad)  # -1 is not read as the last vertex, 2
+    with pytest.raises(ValueError, match=message):
+        contract_path(t, bad, 2)
 
 
 def test_delete_leaf_preserves_sibling_order():
