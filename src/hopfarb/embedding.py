@@ -39,7 +39,7 @@ class EmbeddingWitness:
 
     ``vertex_map[u]`` is the image in ``T2`` of vertex ``u`` of ``T1``.
     ``edge_paths`` holds, for each edge parent -> child of ``T1`` (ordered
-    by the child's preorder index), the strictly descending path in ``T2``
+    by the child's index), the strictly descending path in ``T2``
     from the parent's image to the child's image, endpoints included.
     """
 
@@ -114,17 +114,18 @@ def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
 def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
     """Extract a deterministic witness, or ``None`` when no embedding exists.
 
-    The anchor is the preorder-first vertex of ``t2`` hosting the root,
-    sibling matches are resolved leftmost-first, and each child's image is
-    the preorder-first feasible vertex of its assigned subtree.
+    The anchor is the first vertex of ``t2`` (in preorder, which is index
+    order) hosting the root, sibling matches are resolved leftmost-first,
+    and each child's image is the first feasible vertex of its assigned
+    subtree.
     """
     sub = _rows(t1, t2)
-    anchor = None if sub is None else next(_hosting(t1, t1.root, t2, t2.preorder(), sub), None)
+    anchor = None if sub is None else next(_hosting(t1, t1.root, t2, range(t2.size), sub), None)
     if anchor is None:
         return None
 
     vmap: list[int] = [-1] * t1.size
-    paths: dict[int, tuple[int, ...]] = {}
+    paths: list[tuple[int, ...]] = [()] * t1.size
     stack = [(t1.root, anchor)]
     while stack:
         u, v = stack.pop()
@@ -134,14 +135,14 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
         for c in t1.children[u]:
             while not sub[c][cv[i]]:
                 i += 1
-            # Down the leftmost subtree holding a host, to the preorder-first one.
+            # Down the leftmost subtree holding a host, to the first one.
             path = [v, cv[i]]
             i += 1
             while next(_hosting(t1, c, t2, path[-1:], sub), None) is None:
                 path.append(next(e for e in t2.children[path[-1]] if sub[c][e]))
             paths[c] = tuple(path)
             stack.append((c, path[-1]))
-    return EmbeddingWitness(tuple(vmap), tuple(paths[c] for c in t1.preorder()[1:]))
+    return EmbeddingWitness(tuple(vmap), tuple(paths[1:]))
 
 
 def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
@@ -157,13 +158,12 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
     if any(t1.labels[u] != t2.labels[vmap[u]] for u in range(n1)):
         return False
 
-    edge_order = [v for v in t1.preorder() if v != t1.root]
-    if len(w.edge_paths) != len(edge_order):
+    if len(w.edge_paths) != n1 - 1:
         return False
     mapped = set(vmap)
     interiors: set[int] = set()
     first_step: dict[int, int] = {}
-    for c, path in zip(edge_order, w.edge_paths):
+    for c, path in zip(range(1, n1), w.edge_paths):  # every vertex but the root
         u = t1.parents[c]
         if len(path) < 2 or path[0] != vmap[u] or path[-1] != vmap[c]:
             return False

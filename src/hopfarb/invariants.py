@@ -334,18 +334,17 @@ def _signature_nullity(signs, parents, order) -> tuple[int, int]:
 def seifert_matrix(t: PlaneTree) -> SeifertMatrix:
     """Seifert matrix of the plumbing encoded by ``t``.
 
-    Rows and columns follow the preorder of the vertices.  ``V[v][v]`` is
-    the sign of ``v``; each edge parent -> child contributes ``V[parent][
-    child] = 1`` and leaves the transposed slot 0.
+    Rows and columns follow the vertex indices, which are in preorder.
+    ``V[v][v]`` is the sign of ``v``; each edge parent -> child contributes
+    ``V[parent][child] = 1`` and leaves the transposed slot 0.
     """
-    order = t.preorder()
-    pos = {v: i for i, v in enumerate(order)}
     n = t.size
     m = [[0] * n for _ in range(n)]
     for v in range(n):
-        m[pos[v]][pos[v]] = t.labels[v]
-        for c in t.children[v]:
-            m[pos[v]][pos[c]] = 1
+        m[v][v] = t.labels[v]
+        p = t.parents[v]
+        if p is not None:
+            m[p][v] = 1
     return SeifertMatrix(tuple(tuple(row) for row in m))
 
 
@@ -372,7 +371,7 @@ def boundary_components(t: PlaneTree) -> int:
 def genus(t: PlaneTree) -> int:
     """Genus of the plumbed surface (and of its boundary link): the
     matching number ``nu(T)``, since ``rank(V - V^T) = 2 nu(T)`` on a tree."""
-    return _matching_number(t.parents, t.preorder())
+    return _matching_number(t.parents, range(t.size))
 
 
 def alexander(t: PlaneTree) -> LaurentPolynomial:
@@ -387,12 +386,12 @@ def alexander(t: PlaneTree) -> LaurentPolynomial:
 
 def signature(t: PlaneTree) -> int:
     """Signature of ``V + V^T`` (the link signature of the boundary)."""
-    return _signature_nullity(t.labels, t.parents, t.preorder())[0]
+    return _signature_nullity(t.labels, t.parents, range(t.size))[0]
 
 
 def nullity(t: PlaneTree) -> int:
     """Nullity of ``V + V^T``."""
-    return _signature_nullity(t.labels, t.parents, t.preorder())[1]
+    return _signature_nullity(t.labels, t.parents, range(t.size))[1]
 
 
 def determinant(t: PlaneTree) -> int:
@@ -430,7 +429,7 @@ def top_defect_upper_bound(t: PlaneTree) -> int:
     bound for the topological 4-genus of a knot, so the genus defect
     ``g - g4`` is at most this value.
     """
-    order = t.preorder()
+    order = range(t.size)
     g = _matching_number(t.parents, order)
     b = t.size - 2 * g + 1
     if b != 1:

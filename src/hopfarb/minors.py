@@ -197,7 +197,12 @@ class Predicate:
         if needs_param:
             if not arg:
                 raise ValueError(f"predicate {name!r} requires a parameter, e.g. {name}:2")
-            params = (int(arg),)
+            try:
+                params = (int(arg),)
+            except ValueError:
+                raise ValueError(
+                    f"predicate {name!r} needs an integer parameter, got {arg!r}"
+                ) from None
         else:
             if arg:
                 raise ValueError(f"predicate {name!r} takes no parameter")

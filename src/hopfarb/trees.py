@@ -15,12 +15,13 @@ Grammar::
     Children := '(' Tree (',' Tree)* ')'
 
 Whitespace may appear between tokens.  The canonical text of a tree is the
-same grammar with no whitespace; it is the identity key for equality and
-hashing.
+same grammar with no whitespace; two trees are equal exactly when their
+canonical texts are.
 
-:class:`PlaneTree` is the one tree representation.  Vertices appear in
-the canonical text in preorder, so each reduction is a splice of that
-text, and the reduced tree comes from :func:`parse`.  Nothing in this
+:class:`PlaneTree` is the one tree representation, and its vertices are
+always numbered in preorder: vertex ``v`` is the ``v``-th sign of the
+canonical text.  So each reduction is a splice of that text, and the
+reduced tree comes from :func:`parse`.  Nothing in this
 module recurses, the enumeration included, so tree depth and size are
 bounded by memory, not by recursion limits: ``enumerate_trees(n)`` yields
 its first tree at once for any ``n``.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 __all__ = [
     "PlaneTree",
@@ -68,89 +69,83 @@ class TreeSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PlaneTree:
-    """A rooted, ordered tree with vertices signed +1 or -1.
+    """A rooted, ordered tree with vertices signed +1 or -1, numbered in preorder.
 
-    Vertices are integer indices.  ``labels[v]`` is the sign of ``v``,
-    ``parents[v]`` is its parent (``None`` for the root), and
-    ``children[v]`` is the ordered tuple of its children.  All
-    constructors in this module number vertices in preorder with the root
-    at index 0; indices never change within one value, and every derived
-    tree is renumbered in preorder.
+    Vertices are the indices ``0 .. n-1`` in preorder: vertex 0 is the
+    root, and each later vertex is a child of a vertex on the path from
+    the root to the vertex before it.  ``labels[v]`` is the sign of
+    ``v`` and ``parents[v]`` its parent (``None`` for the root); the
+    constructor rejects any other numbering.  ``children[v]`` lists the
+    children of ``v`` left to right, which is index order.
 
-    Values are immutable; equality and hashing go through the canonical
-    text, so two trees are equal exactly when they are isomorphic as
-    labelled plane trees.  No operation recurses over the tree.
+    One tree has one numbering, so equal values (the two fields compare
+    and hash) are isomorphic labelled plane trees with the same vertex
+    names, and vertex ``v`` carries the ``v``-th sign of ``text``.  No
+    operation recurses over the tree.
     """
 
     labels: tuple[int, ...]
     parents: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
-    root: int = 0
+    root: ClassVar[int] = 0
 
     def __post_init__(self):
         n = len(self.labels)
         if n == 0:
             raise ValueError("a plane tree has at least one vertex")
-        if not (len(self.parents) == len(self.children) == n):
-            raise ValueError("labels, parents and children must have equal length")
+        if len(self.parents) != n:
+            raise ValueError("labels and parents must have equal length")
         if any(l not in (POSITIVE, NEGATIVE) for l in self.labels):
             raise ValueError("labels must be +1 or -1")
-        if not (0 <= self.root < n) or self.parents[self.root] is not None:
-            raise ValueError("root must be the unique vertex without a parent")
-        seen_as_child = [False] * n
-        for u, kids in enumerate(self.children):
-            for c in kids:
-                if not (0 <= c < n) or self.parents[c] != u or seen_as_child[c]:
-                    raise ValueError("children sequences are inconsistent with parents")
-                seen_as_child[c] = True
-        if sum(seen_as_child) != n - 1 or seen_as_child[self.root]:
-            raise ValueError("every non-root vertex must occur exactly once as a child")
-        # Coverage alone admits cycles living apart from the root; only
-        # reachability makes this a connected, acyclic tree.
-        visited = 0
-        stack = [self.root]
-        while stack:
-            visited += 1
-            stack.extend(self.children[stack.pop()])
-        if visited != n:
-            raise ValueError("every vertex must be reachable from the root")
+        if self.parents[0] is not None:
+            raise ValueError("vertex 0 is the root and has no parent")
+        path = [0]  # from the root to the previous vertex
+        for v in range(1, n):
+            p = self.parents[v]
+            while path and path[-1] != p:
+                path.pop()
+            if not path:
+                raise ValueError(f"vertices are not in preorder at vertex {v} (parent {p!r})")
+            path.append(v)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """``children[v]``: the children of ``v`` in index order."""
+        kids: list[list[int]] = [[] for _ in self.parents]
+        for v in range(1, len(kids)):
+            kids[self.parents[v]].append(v)  # type: ignore[index]
+        return tuple(map(tuple, kids))
+
+    @cached_property
     def text(self) -> str:
         """Canonical text: the grammar with no whitespace."""
-        out: list[str] = []
-        stack: list[int | str] = [self.root]  # vertices to write, and punctuation
-        while stack:
-            v = stack.pop()
-            if isinstance(v, str):
-                out.append(v)
-                continue
+        # Between vertex v-1 and v the text opens v-1's children, or
+        # closes back up to v's depth and starts a sibling.
+        depth = [0] * self.size
+        out = [_SIGN_CHAR[self.labels[0]]]
+        for v in range(1, self.size):
+            p = self.parents[v]
+            depth[v] = depth[p] + 1  # type: ignore[index]
+            out.append("(" if p == v - 1 else ")" * (depth[v - 1] - depth[v]) + ",")
             out.append(_SIGN_CHAR[self.labels[v]])
-            if self.children[v]:
-                stack.append(")")
-                for c in reversed(self.children[v]):
-                    stack += (c, ",")
-                stack[-1] = "("  # the first child follows '(', not ','
+        out.append(")" * depth[-1])
         return "".join(out)
 
     @cached_property
-    def traversal(self) -> tuple[list[int], dict[int, list[int]], dict[int, list[bool]], int]:
+    def traversal(self) -> tuple[range, dict[int, list[int]], dict[int, list[bool]], int]:
         """``(order, signed, below, label_sum)``, read by the embedding DP.
 
-        ``order`` lists the vertices children first, the root last, and
-        ``signed[s]`` those of sign ``s`` in that order.  ``below[s][v]``
-        says whether ``v`` or a descendant has sign ``s``.  Do not modify.
+        ``order`` lists the vertices children first, the root last
+        (reverse preorder), and ``signed[s]`` those of sign ``s`` in that
+        order.  ``below[s][v]`` says whether ``v`` or a descendant has
+        sign ``s``.  Do not modify.
         """
-        order = [self.root]
-        for v in order:  # breadth first, then reversed
-            order += self.children[v]
-        order.reverse()
+        order = range(self.size - 1, -1, -1)
         signed = {s: [v for v in order if self.labels[v] == s] for s in (POSITIVE, NEGATIVE)}
         below = {s: _upward_closure(vs, self.parents) for s, vs in signed.items()}
         return order, signed, below, sum(self.labels)
@@ -159,14 +154,8 @@ class PlaneTree:
         return not self.children[v]
 
     def preorder(self) -> list[int]:
-        """Vertex indices in preorder (root first, children left to right)."""
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        return order
+        """Vertex indices in preorder, which is ``0 .. n-1``."""
+        return list(range(self.size))
 
     def depth(self, v: int) -> int:
         d = 0
@@ -175,14 +164,6 @@ class PlaneTree:
             d += 1
             p = self.parents[p]
         return d
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneTree):
-            return NotImplemented
-        return self.text == other.text
-
-    def __hash__(self):
-        return hash(self.text)
 
     def __repr__(self):
         return f"PlaneTree({self.text!r})"
@@ -196,16 +177,6 @@ def _upward_closure(vertices, parents: tuple[int | None, ...]) -> list[bool]:
             row[v] = True
             v = parents[v]
     return row
-
-
-def _from_parents(labels: list[int], parents: list[int | None]) -> PlaneTree:
-    # Vertices are given in preorder, so each vertex's children are the
-    # later vertices naming it as parent, in index order.
-    children: list[list[int]] = [[] for _ in labels]
-    for v, p in enumerate(parents):
-        if p is not None:
-            children[p].append(v)
-    return PlaneTree(tuple(labels), tuple(parents), tuple(map(tuple, children)), 0)
 
 
 def parse(text: str) -> PlaneTree:
@@ -255,7 +226,7 @@ def parse(text: str) -> PlaneTree:
             pos = skip_ws(pos)
             if pos != n:
                 raise TreeSyntaxError(f"unexpected trailing input {text[pos]!r}", pos)
-            t = _from_parents(labels, parents)
+            t = PlaneTree(tuple(labels), tuple(parents))
             # A sign per vertex, ',' or '(' before all but the root, ')' per
             # '(': nothing else means no whitespace, so ``text`` is canonical.
             if n == 2 * len(labels) - 1 + text.count("("):
@@ -269,8 +240,8 @@ def to_text(t: PlaneTree) -> str:
 
 
 def equal(t1: PlaneTree, t2: PlaneTree) -> bool:
-    """Labelled plane isomorphism, decided by canonical-text equality."""
-    return t1.text == t2.text
+    """Labelled plane isomorphism: both trees are numbered in preorder, so ``==``."""
+    return t1 == t2
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +289,18 @@ def _paren_strings(pairs: int) -> Iterator[str]:
         s[i:] = [")"] + ["("] * opens + [")"] * (tail - opens)
 
 
-def _shape_from_parens(s: str) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
+def _shape_from_parens(s: str) -> tuple[int | None, ...]:
     # The string is the preorder walk of the root's children forest:
     # '(' enters a new child of the current vertex, ')' returns.
     parents: list[int | None] = [None]
-    children: list[list[int]] = [[]]
     cur = 0
     for ch in s:
         if ch == "(":
-            v = len(parents)
             parents.append(cur)
-            children[cur].append(v)
-            children.append([])
-            cur = v
+            cur = len(parents) - 1
         else:
             cur = parents[cur]  # type: ignore[assignment]
-    return tuple(parents), tuple(map(tuple, children))
+    return tuple(parents)
 
 
 def enumerate_trees(n: int) -> Iterator[PlaneTree]:
@@ -345,12 +312,15 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     if n < 1:
         raise ValueError("tree size must be >= 1")
     for shape in _paren_strings(n - 1):
-        parents, children = _shape_from_parens(shape)
+        parents = _shape_from_parens(shape)
+        children = PlaneTree((POSITIVE,) * n, parents).children  # shared by the shape
         for bits in range(1 << n):
             labels = tuple(
                 NEGATIVE if (bits >> (n - 1 - i)) & 1 else POSITIVE for i in range(n)
             )
-            yield PlaneTree(labels, parents, children, 0)
+            t = PlaneTree(labels, parents)
+            t.__dict__["children"] = children  # where the cached property keeps it
+            yield t
 
 
 def _unrank_shape(pairs: int, rank: int) -> str:
@@ -386,9 +356,9 @@ def unrank(n: int, idx: int) -> PlaneTree:
     if not (0 <= idx < count(n)):
         raise ValueError(f"index {idx} out of range for size {n}")
     shape_idx, bits = divmod(idx, 1 << n)
-    parents, children = _shape_from_parens(_unrank_shape(n - 1, shape_idx))
+    parents = _shape_from_parens(_unrank_shape(n - 1, shape_idx))
     labels = tuple(NEGATIVE if (bits >> (n - 1 - i)) & 1 else POSITIVE for i in range(n))
-    return PlaneTree(labels, parents, children, 0)
+    return PlaneTree(labels, parents)
 
 
 def random_tree(n: int, seed: int) -> PlaneTree:
@@ -405,9 +375,9 @@ def random_tree(n: int, seed: int) -> PlaneTree:
 # ---------------------------------------------------------------------------
 
 
-def _offsets(t: PlaneTree) -> dict[int, int]:
-    # Offset in ``t.text`` of each vertex's sign; signs appear in preorder.
-    return dict(zip(t.preorder(), (j for j, c in enumerate(t.text) if c in _CHAR_SIGN)))
+def _offsets(t: PlaneTree) -> list[int]:
+    # Offset in ``t.text`` of each vertex's sign; vertex v has the v-th sign.
+    return [j for j, c in enumerate(t.text) if c in _CHAR_SIGN]
 
 
 def _splice(text: str, i: int, k: int = 1) -> str:
@@ -503,12 +473,9 @@ def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
 
 
 def tree_to_json_obj(t: PlaneTree) -> dict:
-    nodes: list[dict] = [{}] * t.size
-    for v in t.preorder():
-        nodes[v] = {"label": _SIGN_CHAR[t.labels[v]], "children": []}
-        p = t.parents[v]
-        if p is not None:
-            nodes[p]["children"].append(nodes[v])
+    nodes = [{"label": _SIGN_CHAR[s], "children": []} for s in t.labels]
+    for v in range(1, t.size):
+        nodes[t.parents[v]]["children"].append(nodes[v])  # type: ignore[index]
     return nodes[t.root]
 
 
@@ -525,4 +492,4 @@ def tree_from_json_obj(obj: dict) -> PlaneTree:
         parents.append(parent)
         v = len(labels) - 1
         stack.extend((kid, v) for kid in reversed(node.get("children", [])))
-    return _from_parents(labels, parents)
+    return PlaneTree(tuple(labels), tuple(parents))

@@ -26,11 +26,7 @@ def splice(t, gone):
             slot[v] = len(labels)
             labels.append(t.labels[v])
             parents.append(up)
-    children = [[] for _ in labels]
-    for v, p in enumerate(parents):
-        if p is not None:
-            children[p].append(v)
-    return PlaneTree(tuple(labels), tuple(parents), tuple(map(tuple, children)), 0)
+    return PlaneTree(tuple(labels), tuple(parents))
 
 
 def path_interior(t, u, w):

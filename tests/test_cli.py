@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hopfarb import minors
 from hopfarb.cli import run
+from hopfarb.invariants import genus
 from hopfarb.trees import count, random_tree
 
 
@@ -210,6 +211,30 @@ def test_audit(capsys):
     assert run(["audit", "--quantity", "genus", "--max-size", "3"]) == 0
     out, _ = out_of(capsys)
     assert out == "violations: 0\n"
+
+
+def test_audit_reports_violations(monkeypatch, capsys):
+    # Both registered quantities are monotone, so a decreasing stand-in
+    # is what reaches the violation path, in the library and in the CLI.
+    monkeypatch.setitem(minors._QUANTITIES, "genus", lambda t: -genus(t))
+    u = minors.universe(3)
+    rel = minors.poset(u).relation_pairs
+    expected = [(i, j) for i, j in rel if genus(u.trees[i]) < genus(u.trees[j])]
+    assert 0 < len(expected) < len(rel)
+    assert minors.audit_monotone("genus", 3) == expected
+    assert run(["audit", "--quantity", "genus", "--max-size", "3"]) == 0
+    out, _ = out_of(capsys)
+    lines = [f"{u.trees[i].text}\t{u.trees[j].text}" for i, j in expected]
+    assert out == "\n".join(lines) + f"\nviolations: {len(expected)}\n"
+
+
+@pytest.mark.parametrize("spec", ["genus_le:x", "sig_abs_le:1.5"])
+def test_mine_rejects_a_non_integer_parameter(capsys, spec):
+    assert run(["mine", "--predicate", spec, "--max-size", "3"]) == 1
+    out, err = out_of(capsys)
+    name, _, arg = spec.partition(":")
+    assert out == ""
+    assert err == f"error: predicate {name!r} needs an integer parameter, got {arg!r}\n"
 
 
 def test_classes(capsys):

@@ -24,7 +24,7 @@ from hopfarb.trees import (
     strip_root,
 )
 from splice_reference import splice
-from strategies import numberings, plane_trees, renumber
+from strategies import plane_trees
 
 
 # --- decision examples -------------------------------------------------------
@@ -191,7 +191,7 @@ def test_dp_witness_and_oracle_agree_on_random_pairs(n1, n2, seed, kind, rnd):
             labels = list(t1.labels)
             v = rnd.randrange(t1.size)
             labels[v] = -labels[v]
-            t1 = PlaneTree(tuple(labels), t1.parents, t1.children, t1.root)
+            t1 = PlaneTree(tuple(labels), t1.parents)
     decided = embeds(t1, t2)
     assert decided == oracle_embeds(t1, t2), (t1.text, t2.text)
     w = embed_witness(t1, t2)
@@ -213,10 +213,10 @@ def test_dp_matches_table_reference_up_to_5(u5):
 
 
 @settings(deadline=None)
-@given(plane_trees(8, nonzero_root=True), plane_trees(5, nonzero_root=True), st.data())
-def test_dp_matches_table_reference_on_renumbered_trees(t2, t1, data):
-    # Neither tree is numbered in preorder.  Half the time ``t1`` is a
-    # minor of ``t2``, perhaps with one sign flipped, so that many pairs embed.
+@given(plane_trees(8), plane_trees(5), st.data())
+def test_dp_matches_table_reference_on_random_trees(t2, t1, data):
+    # Half the time ``t1`` is a minor of ``t2``, perhaps with one sign
+    # flipped, so that many pairs embed.
     if data.draw(st.booleans()):
         removable = [v for v in range(t2.size) if len(t2.children[v]) <= 1]
         gone = data.draw(st.sets(st.sampled_from(removable), max_size=t2.size - 1))
@@ -225,8 +225,7 @@ def test_dp_matches_table_reference_on_renumbered_trees(t2, t1, data):
         if data.draw(st.booleans()):
             v = data.draw(st.integers(0, minor.size - 1))
             labels[v] = -labels[v]
-        minor = PlaneTree(tuple(labels), minor.parents, minor.children, minor.root)
-        t1 = renumber(minor, data.draw(numberings(minor.size, nonzero_root=True)))
+        t1 = PlaneTree(tuple(labels), minor.parents)
     w = embed_witness(t1, t2)
     assert w == reference.embed_witness(t1, t2), (t1, t2)
     assert embeds(t1, t2) == (w is not None)

@@ -22,7 +22,7 @@ from hopfarb.minors import (
     poset_to_dot,
     universe,
 )
-from hopfarb.trees import PlaneTree, count, enumerate_trees, parse, random_tree
+from hopfarb.trees import count, enumerate_trees, parse, random_tree, tree_from_json_obj
 
 
 # --- universes ---------------------------------------------------------------
@@ -108,6 +108,8 @@ def test_predicate_parse():
         Predicate.parse("size_le")  # missing parameter
     with pytest.raises(ValueError):
         Predicate.parse("all_positive:1")  # spurious parameter
+    with pytest.raises(ValueError, match="needs an integer parameter, got 'x'"):
+        Predicate.parse("genus_le:x")
 
 
 def test_evaluate_examples():
@@ -319,17 +321,20 @@ def test_fingerprint_constant_on_keys(u5):
 def test_key_and_fingerprint_ignore_root_and_order(n, seed, rnd):
     t = random_tree(n, seed)
     adj = _neighbours(t)
+    # Re-root at a random vertex and shuffle every child list; the JSON
+    # form numbers the result in preorder again.
     root = rnd.randrange(n)
-    parents, children = [None] * n, [()] * n
+    nodes = [{"label": "+" if s > 0 else "-"} for s in t.labels]
+    parents = [None] * n
     order = [root]
     for v in order:
         kids = [w for w in adj[v] if w != parents[v]]
         rnd.shuffle(kids)
         for w in kids:
             parents[w] = v
-        children[v] = tuple(kids)
+        nodes[v]["children"] = [nodes[w] for w in kids]
         order.extend(kids)
-    moved = PlaneTree(t.labels, tuple(parents), tuple(children), root)
+    moved = tree_from_json_obj(nodes[root])
     assert _unrooted_key(moved) == _unrooted_key(t)
     assert fingerprint(moved) == fingerprint(t)
 

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -88,20 +89,42 @@ def test_equal_is_plane_isomorphism():
 
 
 def test_invalid_constructions_rejected():
-    with pytest.raises(ValueError):
-        PlaneTree((), (), (), 0)  # empty tree
-    with pytest.raises(ValueError):
-        PlaneTree((2,), (None,), ((),), 0)  # bad label
-    with pytest.raises(ValueError):
-        PlaneTree((1, 1), (None, None), ((), ()), 0)  # two roots
-    with pytest.raises(ValueError):
-        PlaneTree((1, 1), (None, 0), ((1, 1), ()), 0)  # duplicated child
-    with pytest.raises(ValueError):
-        PlaneTree((1, 1, 1), (None, 0, 1), ((1,), (), ()), 0)  # orphan vertex
-    with pytest.raises(ValueError):
-        # Two-cycle detached from the root: parent/child bookkeeping is
-        # locally consistent, but nothing below the root is reachable.
-        PlaneTree((1, 1, 1), (None, 2, 1), ((), (2,), (1,)), 0)
+    for labels, parents in [
+        ((), ()),  # empty tree
+        ((2,), (None,)),  # bad label
+        ((1, 1), (None,)),  # lengths differ
+        ((1, 1), (None, None)),  # two roots
+        ((1, 1), (1, None)),  # the root is not vertex 0
+        ((1, 1, 1, 1), (None, 0, 0, 1)),  # not in preorder: 1 is closed by 2
+        ((1, 1, 1), (None, 2, 0)),  # a parent after its child
+        ((1, 1, 1), (None, 2, 1)),  # a two-cycle apart from the root
+        ((1, 1), (None, 1)),  # its own parent
+    ]:
+        with pytest.raises(ValueError):
+            PlaneTree(labels, parents)
+
+
+def test_constructor_accepts_exactly_the_preorder_numberings():
+    # Of the (n-1)! parent sequences with parents[v] < v, the preorder
+    # numberings are one per plane shape: Catalan(n-1) of them.
+    for n, catalan in zip(range(1, 8), (1, 1, 2, 5, 14, 42, 132)):
+        labels = tuple(-1 if v % 3 == 1 else 1 for v in range(n))
+        accepted = []
+        for parents in product(*(range(v) for v in range(1, n))):
+            try:
+                accepted.append(PlaneTree(labels, (None, *parents)))
+            except ValueError:
+                pass
+        assert len(accepted) == catalan
+        for t in accepted:
+            u = parse(t.text)
+            assert (u.labels, u.parents, u.children) == (t.labels, t.parents, t.children)
+
+
+def test_vertex_v_carries_the_vth_sign_of_text():
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            assert [c for c in t.text if c in "+-"] == ["+-"[l < 0] for l in t.labels]
 
 
 def test_parse_keeps_canonical_input_as_text():
@@ -316,8 +339,6 @@ def test_reductions_match_structural_reference_up_to_7():
 @settings(deadline=None)
 @given(plane_trees())
 def test_reduction_operations_match_structural_reference(t):
-    # Vertices numbered in a random order, so the text splice must map
-    # each vertex to its preorder position first.
     assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
     for v in range(t.size):
         if t.is_leaf(v) and t.size > 1:
