@@ -86,12 +86,12 @@ def _rows(t1: PlaneTree, t2: PlaneTree) -> list | None:
     ``None`` when the sign counts rule an embedding out: it is injective
     and keeps signs, so ``t2`` needs as many vertices of each sign.
     """
-    order1, _, _, sum1 = t1.traversal
-    _, signed2, below2, sum2 = t2.traversal
+    _, _, sum1 = t1.traversal
+    signed2, below2, sum2 = t2.traversal
     if abs(sum1 - sum2) > len(t2.labels) - len(t1.labels):
         return None
     sub: list = [None] * len(t1.labels)
-    for u in order1[:-1]:  # children first; the root comes last
+    for u in range(len(t1.labels) - 1, 0, -1):  # children first; the root is left out
         if t1.children[u]:
             hosts = _hosting(t1, u, t2, signed2[t1.labels[u]], sub)
             sub[u] = _upward_closure(hosts, t2.parents)
@@ -107,7 +107,7 @@ def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
     lies above it can be pruned by leaf deletions and root removals.
     """
     sub = _rows(t1, t2)
-    among = t2.traversal[1][t1.labels[t1.root]]
+    among = t2.traversal[0][t1.labels[t1.root]]
     return sub is not None and next(_hosting(t1, t1.root, t2, among, sub), None) is not None
 
 

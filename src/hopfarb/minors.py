@@ -11,27 +11,28 @@ Betti number) and groups same-size trees by their invariant fingerprint
 as a stand-in for boundary-link equivalence.
 
 The order is generated by the one-vertex reductions of
-:func:`hopfarb.trees.reductions`: they are its covers, and a walk in
-enumeration (hence size) order accumulates every tree's strict down-set
-from those of its reductions.  The relation table still grows
-quadratically with the universe, hence the size guard (default 6, about
-3.2k trees).  Mining needs no relation table and holds no universe: it
-enumerates one size at a time, and tests each violator with the
-embedding DP against the minimal violators of smaller sizes.
+:func:`hopfarb.trees.reductions`: they are its covers.  One backward walk
+over the enumeration (larger trees first) keeps two bitset rows per
+tree, the trees covering it and its strict up-set, so reading the set
+bits row by row gives both pair lists in output order.  The relation
+table still grows quadratically with the universe, hence the size guard
+(default 6, about 3.2k trees).  Mining needs no relation table and holds
+no universe: it enumerates one size at a time, and tests each violator
+with the embedding DP against the minimal violators of smaller sizes.
 Fingerprint classes compute each fingerprint once per unrooted,
 unordered signed tree (189 of them among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
 order, because re-rooting and reordering only permute the basis and
-move edge units between the two slots of an edge.  All
-outputs are deterministic: trees are ordered by the
-enumeration, pair lists lexicographically, mined families by canonical
-text.
+move edge units between the two slots of an edge.  All outputs are
+deterministic: trees are ordered by the enumeration, pair lists
+lexicographically, mined families by canonical text.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .embedding import embeds
 from .invariants import (
@@ -106,34 +107,34 @@ def check_guard(nmax: int, max_nmax: int = DEFAULT_POSET_GUARD) -> None:
         raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {max_nmax}")
 
 
-def _order(u: Universe) -> tuple[list[list[int]], list[int]]:
-    """Covers and strict down-sets of every tree of ``u``.
+def _order(u: Universe) -> tuple[list[int], list[int]]:
+    """Hasse rows and strict up-sets of the trees of ``u``, by a backward walk.
 
-    ``covers[j]`` lists the indices of the one-vertex reductions of
-    ``trees[j]``; ``down[j]`` is the bitset of every index whose tree
-    embeds strictly into ``trees[j]``.  Reductions are smaller, so they
-    come earlier in the enumeration and their down-sets are complete.
+    Bit ``j`` of ``above[i]`` is set when ``trees[i]`` is a one-vertex
+    reduction of ``trees[j]``, and of ``up[i]`` when ``trees[i]`` embeds
+    strictly into ``trees[j]``.  Reductions come earlier in the
+    enumeration, so ``up[j]`` is complete when the walk reaches ``j``.
     """
     index = {t.text: i for i, t in enumerate(u.trees)}
-    covers: list[list[int]] = []
-    down: list[int] = []
-    for t in u.trees:
-        below = sorted({index[r] for r in _reduction_texts(t)})
-        d = 0
-        for r in below:
-            d |= 1 << r | down[r]
-        covers.append(below)
-        down.append(d)
-    return covers, down
+    above = [0] * len(u.trees)
+    up = [0] * len(u.trees)
+    for j in range(len(u.trees) - 1, -1, -1):
+        reach = 1 << j | up[j]
+        for r in {index[x] for x in _reduction_texts(u.trees[j])}:
+            above[r] |= 1 << j
+            up[r] |= reach
+    return above, up
 
 
-def _bits(x: int) -> list[int]:
-    s = bin(x)[:1:-1]
-    return [i for i, c in enumerate(s) if c == "1"]
-
-
-def _relation(down: list[int]) -> list[tuple[int, int]]:
-    return sorted((i, j) for j, d in enumerate(down) for i in _bits(d))
+def _pairs(rows: list[int]) -> Iterator[tuple[int, int]]:
+    """``(i, j)`` for every set bit ``j`` of ``rows[i]``, lexicographically."""
+    ids = list(range(max((r.bit_length() for r in rows), default=0)))  # one int per j
+    for i, row in enumerate(rows):
+        bits = bin(row)[:1:-1]  # bit j is character j
+        j = bits.find("1")
+        while j >= 0:
+            yield i, ids[j]
+            j = bits.find("1", j + 1)
 
 
 def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD) -> PosetReport:
@@ -143,22 +144,19 @@ def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD) -> PosetReport:
     force equal trees).  The Hasse pairs are the one-vertex reductions.
     """
     check_guard(u.nmax, max_nmax)
-    covers, down = _order(u)
-    pairs = _relation(down)
-    hasse = tuple(sorted((r, j) for j, below in enumerate(covers) for r in below))
+    above, up = _order(u)
+    pairs = tuple(_pairs(up))
+    hasse = tuple(_pairs(above))
     sizes = [t.size for t in u.trees]
-    trees_per_size = {k: count(k) for k in range(1, u.nmax + 1)}
-    pairs_per_size: dict[str, int] = defaultdict(int)
-    for i, j in pairs:
-        pairs_per_size[f"{sizes[i]}->{sizes[j]}"] += 1
+    per_size = Counter((sizes[i], sizes[j]) for i, j in pairs)
     stats = {
         "trees": len(u.trees),
-        "trees_per_size": trees_per_size,
+        "trees_per_size": {k: count(k) for k in range(1, u.nmax + 1)},
         "relation_pairs": len(pairs),
         "hasse_pairs": len(hasse),
-        "pairs_per_size": dict(pairs_per_size),
+        "pairs_per_size": {f"{a}->{b}": c for (a, b), c in per_size.items()},
     }
-    return PosetReport(tuple(pairs), hasse, stats)
+    return PosetReport(pairs, hasse, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +188,7 @@ class Predicate:
     @classmethod
     def parse(cls, spec: str) -> "Predicate":
         """Build from ``"name"`` or ``"name:k"`` notation."""
-        name, _, arg = spec.partition(":")
+        name, sep, arg = spec.partition(":")
         if name not in _REGISTRY:
             raise ValueError(f"unknown predicate {name!r}")
         needs_param, knots_only, _ = _REGISTRY[name]
@@ -203,9 +201,9 @@ class Predicate:
                 raise ValueError(
                     f"predicate {name!r} needs an integer parameter, got {arg!r}"
                 ) from None
+        elif sep:
+            raise ValueError(f"predicate {name!r} takes no parameter")
         else:
-            if arg:
-                raise ValueError(f"predicate {name!r} takes no parameter")
             params = ()
         return cls(name, params, knots_only)
 
@@ -278,8 +276,8 @@ def audit_monotone(
     q = _QUANTITIES[quantity]
     u = universe(nmax)
     values = [q(t) for t in u.trees]
-    _, down = _order(u)
-    return [(i, j) for i, j in _relation(down) if values[i] > values[j]]
+    _, up = _order(u)
+    return [(i, j) for i, j in _pairs(up) if values[i] > values[j]]
 
 
 def _unrooted_key(t: PlaneTree) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 from typing import ClassVar, Iterator
 
@@ -137,18 +137,17 @@ class PlaneTree:
         return "".join(out)
 
     @cached_property
-    def traversal(self) -> tuple[range, dict[int, list[int]], dict[int, list[bool]], int]:
-        """``(order, signed, below, label_sum)``, read by the embedding DP.
+    def traversal(self) -> tuple[dict[int, list[int]], dict[int, list[bool]], int]:
+        """``(signed, below, label_sum)``, read by the embedding DP.
 
-        ``order`` lists the vertices children first, the root last
-        (reverse preorder), and ``signed[s]`` those of sign ``s`` in that
-        order.  ``below[s][v]`` says whether ``v`` or a descendant has
-        sign ``s``.  Do not modify.
+        ``signed[s]`` lists the vertices of sign ``s`` children first, the
+        root last (reverse preorder).  ``below[s][v]`` says whether ``v``
+        or a descendant has sign ``s``.  Do not modify.
         """
         order = range(self.size - 1, -1, -1)
         signed = {s: [v for v in order if self.labels[v] == s] for s in (POSITIVE, NEGATIVE)}
         below = {s: _upward_closure(vs, self.parents) for s, vs in signed.items()}
-        return order, signed, below, sum(self.labels)
+        return signed, below, sum(self.labels)
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -156,14 +155,6 @@ class PlaneTree:
     def preorder(self) -> list[int]:
         """Vertex indices in preorder, which is ``0 .. n-1``."""
         return list(range(self.size))
-
-    def depth(self, v: int) -> int:
-        d = 0
-        p = self.parents[v]
-        while p is not None:
-            d += 1
-            p = self.parents[p]
-        return d
 
     def __repr__(self):
         return f"PlaneTree({self.text!r})"
@@ -314,10 +305,7 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     for shape in _paren_strings(n - 1):
         parents = _shape_from_parens(shape)
         children = PlaneTree((POSITIVE,) * n, parents).children  # shared by the shape
-        for bits in range(1 << n):
-            labels = tuple(
-                NEGATIVE if (bits >> (n - 1 - i)) & 1 else POSITIVE for i in range(n)
-            )
+        for labels in product((POSITIVE, NEGATIVE), repeat=n):
             t = PlaneTree(labels, parents)
             t.__dict__["children"] = children  # where the cached property keeps it
             yield t

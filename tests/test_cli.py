@@ -176,6 +176,23 @@ def test_poset_stats_and_files(tmp_path, capsys):
     assert b"\r" not in dot.read_bytes()
 
 
+def test_poset_size_6_output_is_pinned(capsys):
+    # The benchmark's goldens stop at size 5; this pins the next size.
+    assert run(["poset", "--max-size", "6", "--dot", "-", "--csv", "-"]) == 0
+    data = out_of(capsys)[0].encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        917506,
+        "a4b3e036ac173a2c554f8755c0acdfec22abd6e2559796981a4fbdfc51c948d4",
+    )
+    assert run(["poset", "--max-size", "6"]) == 0
+    data = out_of(capsys)[0].encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == (
+        "7bd2f5a041a55d191ec937fa7cc4019cf84d1149065fbfcdbac986fb96b312a0"
+    )
+    stats = json.loads(data)
+    assert (stats["relation_pairs"], stats["hasse_pairs"]) == (58428, 11234)
+
+
 def test_poset_guard_error(capsys):
     assert run(["poset", "--max-size", "7"]) == 1
     _, err = out_of(capsys)
@@ -235,6 +252,20 @@ def test_mine_rejects_a_non_integer_parameter(capsys, spec):
     name, _, arg = spec.partition(":")
     assert out == ""
     assert err == f"error: predicate {name!r} needs an integer parameter, got {arg!r}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("all_positive:", "predicate 'all_positive' takes no parameter"),
+        ("genus_le:", "predicate 'genus_le' requires a parameter, e.g. genus_le:2"),
+    ],
+)
+def test_mine_rejects_a_bare_separator(capsys, spec, message):
+    assert run(["mine", "--predicate", spec, "--max-size", "3"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_classes(capsys):

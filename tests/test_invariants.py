@@ -52,7 +52,10 @@ def sympy_alexander(m: SeifertMatrix):
 
 def tree_matching_number(t):
     """Maximum matching of a tree by the greedy leaf rule (optimal on forests)."""
-    order = sorted(range(t.size), key=t.depth, reverse=True)
+    depth = [0] * t.size
+    for v in range(1, t.size):  # preorder: a parent comes before its children
+        depth[v] = depth[t.parents[v]] + 1
+    order = sorted(range(t.size), key=depth.__getitem__, reverse=True)
     matched = [False] * t.size
     size = 0
     for v in order:

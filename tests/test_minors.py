@@ -81,6 +81,29 @@ def test_poset_matches_pairwise_dp(u5, pairwise_relation):
     assert list(poset(u5).relation_pairs) == pairwise_relation(u5)
 
 
+def _naive_pairs(rows):
+    return [(i, j) for i, row in enumerate(rows) for j, c in enumerate(bin(row)[:1:-1]) if c == "1"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [1 | 1 << 10**5, 0, (1 << 300) - 1, 1 << 10**5],  # sparse and wide, empty, dense
+        [0, 0],
+        [],
+        [0b101, 0, 0b10],
+    ],
+)
+def test_pairs_reads_every_set_bit_in_lexicographic_order(rows):
+    assert list(minors._pairs(rows)) == _naive_pairs(rows)
+
+
+def test_pairs_share_one_int_per_column():
+    first, second = minors._pairs([1 << 1000, 1 << 1000])
+    assert first == (0, 1000) and second == (1, 1000)
+    assert first[1] is second[1]
+
+
 def test_hasse_is_transitive_reduction(u5, pairwise_relation):
     # The Hasse pairs are the DP relation's pairs (i, j) with no k
     # strictly between them in the order.
@@ -108,6 +131,8 @@ def test_predicate_parse():
         Predicate.parse("size_le")  # missing parameter
     with pytest.raises(ValueError):
         Predicate.parse("all_positive:1")  # spurious parameter
+    with pytest.raises(ValueError, match="takes no parameter"):
+        Predicate.parse("all_positive:")  # a bare separator is a parameter too
     with pytest.raises(ValueError, match="needs an integer parameter, got 'x'"):
         Predicate.parse("genus_le:x")
 
