@@ -28,7 +28,7 @@ and nullity are linear passes over the tree that ``V`` is supported on:
 a greedy matching from the leaves up, and Jacobs-Trevisan
 diagonalization over exact rationals.  Only the Alexander polynomial
 uses dense linear algebra: fraction-free integer determinants at
-integer points, then exact interpolation.
+integer points, then Newton interpolation over the integers.
 """
 
 from __future__ import annotations
@@ -94,12 +94,11 @@ class LaurentPolynomial:
         return not self.coeffs
 
     def evaluate(self, x: int):
-        """Exact value at an integer; a Fraction when negative exponents occur."""
-        value = sum(
-            (Fraction(x) ** (self.lowest + i)) * c for i, c in enumerate(self.coeffs)
-        )
-        value = Fraction(value)
-        return int(value) if value.denominator == 1 else value
+        """Exact value at an integer; a Fraction when ``lowest`` is negative."""
+        value = 0
+        for c in reversed(self.coeffs):  # Horner's rule over the ints
+            value = value * x + c
+        return Fraction(value, x**-self.lowest) if self.lowest < 0 else value * x**self.lowest
 
     def normalized(self) -> "LaurentPolynomial":
         """Multiply by the unit +-t^k fixing lowest exponent 0 and a positive
@@ -236,26 +235,26 @@ def _det_int(rows: list[list[int]]) -> int:
 
 
 def _interpolate_int(values: list[int]) -> list[int]:
-    """Integer coefficients of the polynomial taking ``values`` at 0..d."""
+    """Integer coefficients of the polynomial taking ``values`` at 0..d.
+
+    Step ``j`` leaves ``Delta^j f(m) / j!``, an integer when ``f`` has
+    integer coefficients, so a remainder means there is no such ``f``."""
     d = len(values) - 1
-    coef = [Fraction(v) for v in values]
+    coef = list(values)
     for j in range(1, d + 1):
         for i in range(d, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / j
+            coef[i], r = divmod(coef[i] - coef[i - 1], j)
+            if r:
+                raise ArithmeticError("interpolation of integer data must be integral")
     poly = [coef[d]]
     for i in range(d - 1, -1, -1):
-        nxt = [Fraction(0)] * (len(poly) + 1)
+        nxt = [0] * (len(poly) + 1)
         for k, c in enumerate(poly):
             nxt[k + 1] += c
             nxt[k] -= c * i
         nxt[0] += coef[i]
         poly = nxt
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation of integer data must be integral")
-        out.append(int(c))
-    return out
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,21 @@ Betti number) and groups same-size trees by their invariant fingerprint
 as a stand-in for boundary-link equivalence.
 
 The order is generated by the one-vertex reductions of
-:func:`hopfarb.trees.reductions`: they are its covers.  One backward walk
-over the enumeration (larger trees first) keeps two bitset rows per
+:func:`hopfarb.trees.reductions`: they are its covers.  One backward
+walk over the enumeration (larger trees first) keeps two bitset rows per
 tree, the trees covering it and its strict up-set, so reading the set
 bits row by row gives both pair lists in output order.  The relation
 table still grows quadratically with the universe, hence the size guard
 (default 6, about 3.2k trees).  Mining needs no relation table and holds
 no universe: it enumerates one size at a time, and tests each violator
-with the embedding DP against the minimal violators of smaller sizes.
-Fingerprint classes compute each fingerprint once per unrooted,
-unordered signed tree (189 of them among the 2,688 trees of size 6):
-the Seifert invariants of a plumbing see neither its root nor its plane
-order, because re-rooting and reordering only permute the basis and
-move edge units between the two slots of an edge.  All outputs are
-deterministic: trees are ordered by the enumeration, pair lists
-lexicographically, mined families by canonical text.
+with the embedding DP against the minimal violators of smaller sizes,
+the one that matched last first.  Fingerprint classes compute each
+fingerprint once per unrooted, unordered signed tree (189 of them among
+the 2,688 trees of size 6): the Seifert invariants of a plumbing see
+neither its root nor its plane order, because re-rooting and reordering
+only permute the basis and move edge units between the two slots of an
+edge.  All outputs are deterministic: trees in enumeration order, pair
+lists lexicographically, mined families by canonical text.
 """
 
 from __future__ import annotations
@@ -221,9 +221,14 @@ def evaluate(p: Predicate, t: PlaneTree) -> bool:
     return fn(t, *p.params) if needs_param else fn(t)
 
 
+def _first_embedded(t: PlaneTree, family) -> int | None:
+    """Index of the first member of ``family`` that embeds into ``t``, or None."""
+    return next((i for i, f in enumerate(family) if embeds(f, t)), None)
+
+
 def check_excluded_family(t: PlaneTree, family) -> bool:
     """True iff no member of ``family`` embeds into ``t``."""
-    return all(not embeds(f, t) for f in family)
+    return _first_embedded(t, family) is None
 
 
 def minimal_excluded(
@@ -239,7 +244,8 @@ def minimal_excluded(
     A violator with some violator strictly below it also has a minimal
     one there, so in size order each violator is tested only against the
     minimal violators of smaller sizes.  This holds for any predicate,
-    monotone or not.
+    monotone or not.  The test does not depend on their order, so the one
+    that matched last moves to the front: neighbours share witnesses.
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
@@ -248,8 +254,13 @@ def minimal_excluded(
     for k in range(1, nmax + 1):
         smaller = list(minimal)
         for t in enumerate_trees(k):
-            if not evaluate(p, t) and check_excluded_family(t, smaller):
+            if evaluate(p, t):
+                continue
+            i = _first_embedded(t, smaller)
+            if i is None:
                 minimal.append(t)
+            elif i:
+                smaller.insert(0, smaller.pop(i))
     return sorted(minimal, key=lambda t: t.text)
 
 

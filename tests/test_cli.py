@@ -224,6 +224,22 @@ def test_mine(capsys):
     assert run(["mine", "--predicate", "nope", "--max-size", "3"]) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, lines, size, digest",
+    [
+        ("size_le:3", 80, 800, "0d5e1ea49bce560e7e467a87bae1689bb37994372cd27b4ec1417b1e17b496fb"),
+        ("genus_le:1", 48, 496, "1c7d8de7a1da87b3bfad97f3bcc975dda91dbefc4b11a60131499117b98d3e41"),
+        ("all_positive", 1, 2, "61d1954b9aba0c9aedb8d1338804e817c7262cfc36da94161dab8e3ed7a3a43a"),
+        ("sig_abs_le:1", 4, 28, "7c10bd50a1e4f5dfb83346cdc7ec077c5dd91af24f179afdbc2102936a7feb29"),
+        ("det_le:3", 6, 40, "9621d3e98c708c122f859895ba940d74c5ab6394d3db6bfda920952df0736c9d"),
+    ],
+)
+def test_mine_size_6_output_is_pinned(capsys, spec, lines, size, digest):
+    assert run(["mine", "--predicate", spec, "--max-size", "6"]) == 0
+    data = out_of(capsys)[0].encode("utf-8")
+    assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (lines, size, digest)
+
+
 def test_audit(capsys):
     assert run(["audit", "--quantity", "genus", "--max-size", "3"]) == 0
     out, _ = out_of(capsys)
@@ -272,6 +288,17 @@ def test_classes(capsys):
     assert run(["classes", "--size", "2"]) == 0
     out, _ = out_of(capsys)
     assert out == "+(+)\n+(-) -(+)\n-(-)\n"
+
+
+def test_classes_size_7_output_is_pinned(capsys):
+    # The benchmark's golden stops at size 6; this pins the next size.
+    assert run(["classes", "--size", "7"]) == 0
+    data = out_of(capsys)[0].encode("utf-8")
+    assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (
+        490,
+        295680,
+        "b9026376b564f00ad32185747aaa5e020eb89acc4db6ddb76238649e4e88b6fc",
+    )
 
 
 BENCHMARK_GOLDEN = json.loads(

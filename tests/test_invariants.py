@@ -138,6 +138,37 @@ def test_laurent_evaluate():
     assert q.evaluate(2) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("lowest", range(-5, 6))
+def test_laurent_evaluate_matches_the_fraction_sum(lowest):
+    from fractions import Fraction
+
+    rnd = random.Random(lowest)
+    for _ in range(20):
+        coeffs = [rnd.randint(-9, 9) for _ in range(rnd.randint(1, 6))]
+        coeffs[0] = coeffs[-1] = rnd.choice((-3, -1, 1, 2))
+        p = LaurentPolynomial(lowest, tuple(coeffs))
+        for x in range(-3, 4):
+            if x == 0 and lowest < 0:
+                continue
+            naive = sum(Fraction(x) ** (lowest + i) * c for i, c in enumerate(coeffs))
+            assert p.evaluate(x) == naive
+            if lowest >= 0:
+                assert type(p.evaluate(x)) is int
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-(2**70) + 1, 2**70 - 1), min_size=1, max_size=41))
+def test_interpolate_int_recovers_integer_coefficients(coeffs):
+    values = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(len(coeffs))]
+    assert invariants._interpolate_int(values) == coeffs
+
+
+def test_interpolate_int_refuses_a_non_integral_interpolant():
+    # x(x - 1)/2 takes integer values at 0, 1, 2 but has coefficients 1/2.
+    with pytest.raises(ArithmeticError):
+        invariants._interpolate_int([0, 0, 1])
+
+
 def test_laurent_normalized():
     assert LaurentPolynomial(3, (1, -1)).normalized() == LaurentPolynomial(0, (-1, 1))
     assert LaurentPolynomial(0, (1, -1)).normalized() == LaurentPolynomial(0, (-1, 1))
