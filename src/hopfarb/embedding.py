@@ -12,13 +12,21 @@ Two deciders are provided: a polynomial dynamic program (`embeds`, with
 certificate extraction via `embed_witness`) and a brute-force closure
 search over the reduction operations (`oracle_embeds`), kept independent
 so each can cross-validate the other.
+
+The program keeps, per vertex ``u`` of ``T1``, the ascending list of the
+vertices of ``T2`` that host ``u``.  Vertices are numbered in preorder,
+so every subtree of ``T2`` is an index interval, and whether a child of
+``u`` has a host in a given run of child subtrees is one bisection of
+its list.  Memory stays linear in the host for each vertex of ``T1``,
+so hosts of 10^5 vertices are in reach.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .trees import PlaneTree, _reduction_texts, _upward_closure, parse
+from .trees import PlaneTree, _reduction_texts, parse
 
 __all__ = [
     "EmbeddingWitness",
@@ -53,50 +61,47 @@ class EmbeddingWitness:
         }
 
 
-def _hosting(t1: PlaneTree, u: int, t2: PlaneTree, among, sub: list):
-    """Yield the vertices ``v`` of ``among`` that host ``u``.
+def _rows(t1: PlaneTree, t2: PlaneTree) -> list[list[int]] | None:
+    """Host lists: ``sub[u]`` is the ascending list of vertices of ``t2`` hosting ``u``.
 
     ``v`` hosts ``u`` when the subtree at ``u`` embeds with ``u`` mapped to
     ``v``: the signs agree and the children of ``u`` go, in order, into
-    distinct children subtrees of ``v`` (``sub[c][d]``: ``c`` embeds at or
-    below ``d``).  The leftmost-feasible greedy assignment is complete.
-    """
-    lu = t1.labels[u]
-    kids = [sub[c] for c in t1.children[u]]
-    lab2, ch2 = t2.labels, t2.children
-    for v in among:
-        if lab2[v] != lu:
-            continue
-        cv = ch2[v]
-        i, m = 0, len(cv)
-        for row in kids:
-            while i < m and not row[cv[i]]:
-                i += 1
-            if i == m:
-                break
-            i += 1
-        else:
-            yield v
-
-
-def _rows(t1: PlaneTree, t2: PlaneTree) -> list | None:
-    """Rows ``sub[u]``: ``sub[u][v]`` says whether ``v`` or a descendant hosts ``u``.
-
-    One row per non-root ``u``; leaves take theirs from ``t2.traversal``.
-    ``None`` when the sign counts rule an embedding out: it is injective
-    and keeps signs, so ``t2`` needs as many vertices of each sign.
+    distinct children subtrees of ``v``.  The leftmost-feasible greedy is
+    complete: each child takes its first host from the next free child
+    subtree on, found by bisection.  The root's list stops at its first
+    host.  ``None`` at the first empty list, or when the sign counts rule
+    an embedding out (it is injective and keeps signs).
     """
     _, _, sum1 = t1.traversal
-    signed2, below2, sum2 = t2.traversal
+    signed2, end2, sum2 = t2.traversal
     if abs(sum1 - sum2) > len(t2.labels) - len(t1.labels):
         return None
+    ch1, lab1, ch2 = t1.children, t1.labels, t2.children
     sub: list = [None] * len(t1.labels)
-    for u in range(len(t1.labels) - 1, 0, -1):  # children first; the root is left out
-        if t1.children[u]:
-            hosts = _hosting(t1, u, t2, signed2[t1.labels[u]], sub)
-            sub[u] = _upward_closure(hosts, t2.parents)
+    for u in range(len(t1.labels) - 1, -1, -1):  # children first
+        if not ch1[u]:
+            hosts = signed2[lab1[u]]
         else:
-            sub[u] = below2[t1.labels[u]]
+            rows = [sub[c] for c in ch1[u]]
+            need = len(rows)
+            hosts = []
+            for v in signed2[lab1[u]]:
+                cv = ch2[v]
+                if len(cv) < need:
+                    continue
+                lo, e = v + 1, end2[v]
+                for row in rows:
+                    j = bisect_left(row, lo)
+                    if j == len(row) or row[j] >= e:
+                        break
+                    lo = end2[cv[bisect_right(cv, row[j]) - 1]]  # past that child subtree
+                else:
+                    hosts.append(v)
+                    if not u:
+                        break
+        if not hosts:
+            return None
+        sub[u] = hosts
     return sub
 
 
@@ -106,9 +111,7 @@ def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
     The image of the root of ``t1`` may be any vertex of ``t2``: whatever
     lies above it can be pruned by leaf deletions and root removals.
     """
-    sub = _rows(t1, t2)
-    among = t2.traversal[0][t1.labels[t1.root]]
-    return sub is not None and next(_hosting(t1, t1.root, t2, among, sub), None) is not None
+    return _rows(t1, t2) is not None
 
 
 def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
@@ -116,32 +119,28 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
 
     The anchor is the first vertex of ``t2`` (in preorder, which is index
     order) hosting the root, sibling matches are resolved leftmost-first,
-    and each child's image is the first feasible vertex of its assigned
+    and each child's image is the first host in preorder of its assigned
     subtree.
     """
     sub = _rows(t1, t2)
-    anchor = None if sub is None else next(_hosting(t1, t1.root, t2, range(t2.size), sub), None)
-    if anchor is None:
+    if sub is None:
         return None
-
+    end2, ch2, par2 = t2.traversal[1], t2.children, t2.parents
     vmap: list[int] = [-1] * t1.size
     paths: list[tuple[int, ...]] = [()] * t1.size
-    stack = [(t1.root, anchor)]
+    stack = [(t1.root, sub[t1.root][0])]
     while stack:
         u, v = stack.pop()
         vmap[u] = v
-        cv = t2.children[v]
-        i = 0
+        cv, lo = ch2[v], v + 1
         for c in t1.children[u]:
-            while not sub[c][cv[i]]:
-                i += 1
-            # Down the leftmost subtree holding a host, to the first one.
-            path = [v, cv[i]]
-            i += 1
-            while next(_hosting(t1, c, t2, path[-1:], sub), None) is None:
-                path.append(next(e for e in t2.children[path[-1]] if sub[c][e]))
-            paths[c] = tuple(path)
-            stack.append((c, path[-1]))
+            w = sub[c][bisect_left(sub[c], lo)]
+            lo = end2[cv[bisect_right(cv, w) - 1]]
+            path = [w]
+            while path[-1] != v:
+                path.append(par2[path[-1]])
+            paths[c] = tuple(reversed(path))
+            stack.append((c, w))
     return EmbeddingWitness(tuple(vmap), tuple(paths[1:]))
 
 

@@ -24,8 +24,11 @@ fingerprint once per unrooted, unordered signed tree (189 of them among
 the 2,688 trees of size 6): the Seifert invariants of a plumbing see
 neither its root nor its plane order, because re-rooting and reordering
 only permute the basis and move edge units between the two slots of an
-edge.  All outputs are deterministic: trees in enumeration order, pair
-lists lexicographically, mined families by canonical text.
+edge.  Its key comes from a plan made once per shape (42 at size 6),
+the shape's centres and the order from each centre up from the leaves,
+applied to each tree's signs.  All outputs are deterministic: trees in
+enumeration order, pair lists lexicographically, mined families by
+canonical text.
 """
 
 from __future__ import annotations
@@ -291,16 +294,15 @@ def audit_monotone(
     return [(i, j) for i, j in _pairs(up) if values[i] > values[j]]
 
 
-def _unrooted_key(t: PlaneTree) -> str:
-    # AHU code of ``t`` as an unrooted, unordered signed tree.  Peeling
-    # leaves layer by layer ends at its one or two centres; the key is the
-    # smaller code rooted at a centre, so equal keys mean equal trees up
-    # to root and plane order.
-    n = t.size
-    adj = [list(kids) for kids in t.children]
-    for v, p in enumerate(t.parents):
-        if p is not None:
-            adj[v].append(p)
+def _centre_plan(parents: tuple[int | None, ...]) -> list:
+    # Per centre of the shape (peeling leaves layer by layer ends at one
+    # or two): ``(centre, steps)``, where ``steps`` pairs each vertex that
+    # has children when rooted at the centre with them, children first.
+    n = len(parents)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        adj[v].append(parents[v])  # type: ignore[arg-type]
+        adj[parents[v]].append(v)  # type: ignore[index]
     degree = [len(a) for a in adj]
     layer = [v for v in range(n) if degree[v] <= 1]
     left = n
@@ -313,23 +315,37 @@ def _unrooted_key(t: PlaneTree) -> str:
                 if degree[w] == 1:
                     nxt.append(w)
         layer = nxt
-    return min(_rooted_code(t, adj, c) for c in layer)
+    plan = []
+    for root in layer:
+        order, parent = [root], [-1] * n
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        steps = [(v, [w for w in adj[v] if w != parent[v]]) for v in reversed(order)]
+        plan.append((root, [(v, kids) for v, kids in steps if kids]))
+    return plan
 
 
-def _rooted_code(t: PlaneTree, adj: list[list[int]], root: int) -> str:
-    # Breadth-first order from ``root``, then codes from the leaves up:
-    # sign, then the sorted codes of the children in parentheses.
-    order, parent = [root], [-1] * t.size
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    code = [""] * t.size
-    for v in reversed(order):
-        inner = sorted(code[w] for w in adj[v] if w != parent[v])
-        code[v] = ("+(" if t.labels[v] > 0 else "-(") + "".join(inner) + ")"
-    return code[root]
+def _keyed(labels: tuple[int, ...], plan: list) -> str:
+    # AHU code as an unrooted, unordered signed tree: per centre, codes
+    # from the leaves up (sign, then the sorted codes of the children in
+    # parentheses); the key is the smaller centre code, so equal keys
+    # mean equal trees up to root and plane order.
+    leaves = ["+()" if l > 0 else "-()" for l in labels]
+    keys = []
+    for root, steps in plan:
+        code = leaves.copy()
+        for v, kids in steps:
+            inner = "".join(sorted([code[w] for w in kids]))
+            code[v] = ("+(" if labels[v] > 0 else "-(") + inner + ")"
+        keys.append(code[root])
+    return min(keys)
+
+
+def _unrooted_key(t: PlaneTree) -> str:
+    return _keyed(t.labels, _centre_plan(t.parents))
 
 
 def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
@@ -351,8 +367,11 @@ def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
         raise ValueError("tree size must be >= 1")
     groups = defaultdict(list)
     fingerprints = {}
+    plans = {}  # the trees of one shape share their ``parents``
     for t in enumerate_trees(n):
-        key = _unrooted_key(t)
+        if t.parents not in plans:
+            plans[t.parents] = _centre_plan(t.parents)
+        key = _keyed(t.labels, plans[t.parents])
         if key not in fingerprints:
             fingerprints[key] = fingerprint(t)
         groups[fingerprints[key]].append(t)

@@ -137,17 +137,20 @@ class PlaneTree:
         return "".join(out)
 
     @cached_property
-    def traversal(self) -> tuple[dict[int, list[int]], dict[int, list[bool]], int]:
-        """``(signed, below, label_sum)``, read by the embedding DP.
+    def traversal(self) -> tuple[dict[int, list[int]], list[int], int]:
+        """``(signed, end, label_sum)``, read by the embedding DP.
 
-        ``signed[s]`` lists the vertices of sign ``s`` children first, the
-        root last (reverse preorder).  ``below[s][v]`` says whether ``v``
-        or a descendant has sign ``s``.  Do not modify.
+        ``signed[s]`` lists the vertices of sign ``s`` in ascending index
+        order, which is preorder.  ``end[v]`` is one past the last
+        descendant of ``v``, so the subtree of ``v`` is
+        ``range(v, end[v])``.  Do not modify.
         """
-        order = range(self.size - 1, -1, -1)
-        signed = {s: [v for v in order if self.labels[v] == s] for s in (POSITIVE, NEGATIVE)}
-        below = {s: _upward_closure(vs, self.parents) for s, vs in signed.items()}
-        return signed, below, sum(self.labels)
+        signed = {s: [v for v, l in enumerate(self.labels) if l == s] for s in (POSITIVE, NEGATIVE)}
+        end = list(range(1, self.size + 1))
+        for v in range(self.size - 1, 0, -1):  # descendants come later in preorder
+            p = self.parents[v]
+            end[p] = max(end[p], end[v])  # type: ignore[index]
+        return signed, end, sum(self.labels)
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -158,16 +161,6 @@ class PlaneTree:
 
     def __repr__(self):
         return f"PlaneTree({self.text!r})"
-
-
-def _upward_closure(vertices, parents: tuple[int | None, ...]) -> list[bool]:
-    """A row over the vertices marking ``vertices`` and all their ancestors."""
-    row = [False] * len(parents)
-    for v in vertices:
-        while v is not None and not row[v]:  # marked vertices have marked ancestors
-            row[v] = True
-            v = parents[v]
-    return row
 
 
 def parse(text: str) -> PlaneTree:

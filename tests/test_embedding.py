@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,85 @@ def test_dp_on_a_10_4_vertex_host():
         assert time.perf_counter() - start < 1.0
         assert w == reference.embed_witness(t1, host)
         assert decided == (w is not None) == (t1 is not wide)
+
+
+_PATH = 50_001
+
+
+@pytest.mark.parametrize(
+    "host_text,patterns,peak_mib",
+    [
+        pytest.param(
+            "+(" + ",".join("+-"[i % 2] for i in range(100_000)) + ")",
+            {"+(-,+,-)": (0, 2, 3, 4), "+(+(+))": None, "-(+)": None, "-": (2,)},
+            25,
+            id="star-with-10^5-leaves",
+        ),
+        pytest.param(
+            "+(" * (_PATH - 1) + "-" + ")" * (_PATH - 1),
+            {
+                "+(-)": (0, _PATH - 1),
+                "+(+(+(-)))": (0, 1, 2, _PATH - 1),
+                "+(-(+))": None,
+                "+(+,-)": None,
+            },
+            17,
+            id="path-of-50001",
+        ),
+    ],
+)
+def test_dp_on_large_hosts_in_linear_memory(host_text, patterns, peak_mib):
+    # The peak bounds are about 1.5x what a DP linear in the host reaches
+    # here on CPython 3.11 (11-19 MiB, the host's children and preorder
+    # intervals included).  Per-vertex ancestor masks would need
+    # Theta(n^2) bits: over 300 MiB on the path.
+    host = parse(host_text)
+    for text, vertex_map in patterns.items():
+        t1 = parse(text)
+        start = time.perf_counter()
+        decided, w = embeds(t1, host), embed_witness(t1, host)
+        assert time.perf_counter() - start < 2.0, text
+        assert decided == (w is not None)
+        assert (None if w is None else w.vertex_map) == vertex_map, text
+        if w is not None:
+            assert verify_witness(t1, host, w)
+    host = parse(host_text)  # fresh, so that its rows are built while traced
+    tracemalloc.start()
+    try:
+        for text in patterns:
+            t1 = parse(text)
+            embeds(t1, host)
+            embed_witness(t1, host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mib * 2**20, peak
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(20, 120), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_dp_matches_table_reference_on_wide_hosts(n2, seed, rnd):
+    # Hosts of 20-120 vertices have vertices with many children, so the
+    # greedy bisects across many child subtrees.  Patterns: a minor cut
+    # from the host in up to three rounds, the same with one sign
+    # flipped, and a small random tree.
+    t2 = random_tree(n2, seed)
+    minor = t2
+    for _ in range(rnd.randint(1, 3)):
+        removable = [v for v in range(minor.size) if len(minor.children[v]) <= 1]
+        gone = {v for v in removable if rnd.random() < 0.4}
+        if len(gone) < minor.size:
+            minor = splice(minor, gone)
+    labels = list(minor.labels)
+    v = rnd.randrange(minor.size)
+    labels[v] = -labels[v]
+    flipped = PlaneTree(tuple(labels), minor.parents)
+    for t1 in (minor, flipped, random_tree(rnd.randint(3, 7), seed + 1)):
+        w = embed_witness(t1, t2)
+        assert w == reference.embed_witness(t1, t2), (t1.text, t2.text)
+        assert embeds(t1, t2) == (w is not None)
+        if w is not None:
+            assert verify_witness(t1, t2, w)
 
 
 # --- quasi-order axioms and closure consistency ------------------------------

@@ -11,6 +11,8 @@ from hopfarb.invariants import fingerprint
 from hopfarb.minors import (
     Predicate,
     _REGISTRY,
+    _centre_plan,
+    _keyed,
     _unrooted_key,
     audit_monotone,
     check_excluded_family,
@@ -331,8 +333,16 @@ def test_unrooted_key_is_exact():
 
 
 def test_unrooted_key_counts():
-    counts = [len({_unrooted_key(t) for t in enumerate_trees(n)}) for n in range(1, 7)]
-    assert counts == [2, 3, 6, 18, 54, 189]
+    # One centre plan per shape, as in ``fingerprint_classes``.
+    counts = []
+    for n in range(1, 9):
+        plans, keys = {}, set()
+        for t in enumerate_trees(n):
+            if t.parents not in plans:
+                plans[t.parents] = _centre_plan(t.parents)
+            keys.add(_keyed(t.labels, plans[t.parents]))
+        counts.append(len(keys))
+    assert counts == [2, 3, 6, 18, 54, 189, 700, 2778]
 
 
 def test_fingerprint_constant_on_keys(u5):
