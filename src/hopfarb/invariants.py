@@ -23,12 +23,14 @@ From the matrix V everything else is classical and computed exactly:
   ``2E + A(T)`` (E the diagonal of signs, A the adjacency matrix),
 * link determinant ``|Delta(-1)|``.
 
-No floating point is used anywhere.  Genus, boundary count, signature
-and nullity are linear passes over the tree that ``V`` is supported on:
-a greedy matching from the leaves up, and Jacobs-Trevisan
-diagonalization over exact rationals.  Only the Alexander polynomial
-uses dense linear algebra: fraction-free integer determinants at
-integer points, then Newton interpolation over the integers.
+No floating point is used anywhere, and every invariant reads the tree:
+genus, boundary count, signature and nullity are linear passes over its
+preorder ``labels`` and ``parents`` (a greedy matching from the leaves
+up, and Jacobs-Trevisan diagonalization over exact rationals).  Only the
+Alexander polynomial is dense: fraction-free integer determinants of
+``V - k V^T``, written from the tree, at k = 0..n, then interpolation
+over the integers.  ``fingerprint_of_matrix`` of any Seifert matrix is
+the fingerprint of the tree it is supported on.
 """
 
 from __future__ import annotations
@@ -165,9 +167,7 @@ class SeifertMatrix:
                 edges += 1
         if edges != n - 1:
             raise ValueError("off-diagonal support must have n-1 edges")
-        # Connectivity of the support (acyclicity follows from the count).
-        if len(_support_tree(self)[2]) != n:
-            raise ValueError("off-diagonal support must be connected")
+        _support_tree(self)  # connected with n-1 edges, so a tree
 
     @property
     def size(self) -> int:
@@ -258,46 +258,49 @@ def _interpolate_int(values: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Passes over the support tree.  A tree is given as signs, parents and a
-# top-down vertex order; walking the order backwards visits every child
-# before its parent.
+# Passes over a tree.  Vertices are numbered in preorder, so walking the
+# indices downwards visits every child before its parent.
 # ---------------------------------------------------------------------------
 
 
-def _support_tree(m: SeifertMatrix) -> tuple[list[int], list[int | None], list[int]]:
-    """Signs, parents and a breadth-first order of the tree ``m`` lives on."""
+def _support_tree(m: SeifertMatrix) -> PlaneTree:
+    """The tree ``m`` lives on, renumbered in preorder from basis vector 0.
+
+    Vertex signs are the diagonal; which slot an edge's unit sits in, and
+    its sign, are dropped.  Raises ``ValueError`` when the off-diagonal
+    support is not connected.
+    """
     e = m.entries
-    n = m.size
-    parents: list[int | None] = [None] * n
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    for v in order:
-        for u in range(n):
+    n = len(e)
+    seen = [True] + [False] * (n - 1)
+    labels: list[int] = []
+    parents: list[int | None] = []
+    stack: list[tuple[int, int | None]] = [(0, None)]
+    while stack:
+        v, p = stack.pop()
+        labels.append(e[v][v])
+        parents.append(p)
+        for u in range(n - 1, 0, -1):  # pushed downwards, so popped in basis order
             if not seen[u] and (e[v][u] or e[u][v]):
                 seen[u] = True
-                parents[u] = v
-                order.append(u)
-    return [e[v][v] for v in range(n)], parents, order
+                stack.append((u, len(labels) - 1))
+    if len(labels) != n:
+        raise ValueError("off-diagonal support must be connected")
+    return PlaneTree(tuple(labels), tuple(parents))
 
 
-def _matching_number(parents, order) -> int:
-    """Maximum matching size: match each still-free vertex to a free parent.
-
-    A vertex left free when its parent is reached has only matched
-    children, so it is a leaf of what remains and matching it up is optimal.
-    """
-    free = [True] * len(parents)
-    nu = 0
-    for v in reversed(order):
-        p = parents[v]
-        if p is not None and free[v] and free[p]:
-            free[v] = free[p] = False
-            nu += 1
-    return nu
+def _seifert_rows(t: PlaneTree, k: int) -> list[list[int]]:
+    """``V - k V^T`` as integer rows, for ``V = seifert_matrix(t)``."""
+    n = t.size
+    rows = [[0] * n for _ in range(n)]
+    for v, (s, p) in enumerate(zip(t.labels, t.parents)):
+        rows[v][v] = (1 - k) * s
+        if p is not None:
+            rows[p][v], rows[v][p] = 1, -k
+    return rows
 
 
-def _signature_nullity(signs, parents, order) -> tuple[int, int]:
+def _signature_nullity(t: PlaneTree) -> tuple[int, int]:
     """Signature and nullity of ``V + V^T``, congruent to ``2E + A(T)``.
 
     Jacobs-Trevisan diagonalization: each vertex starts at twice its sign
@@ -306,14 +309,14 @@ def _signature_nullity(signs, parents, order) -> tuple[int, int]:
     parent.  The edge units only enter squared, so their signs and slots
     do not matter.
     """
-    a = [Fraction(2 * s) for s in signs]
-    zero_child: list[int | None] = [None] * len(signs)
-    for v in reversed(order):
+    a = [Fraction(2 * s) for s in t.labels]
+    zero_child: list[int | None] = [None] * t.size
+    for v in range(t.size - 1, -1, -1):
         c = zero_child[v]
         if c is not None:
             a[c], a[v] = Fraction(2), Fraction(-1, 2)
             continue
-        p = parents[v]
+        p = t.parents[v]
         if p is None:
             continue
         if a[v]:
@@ -337,29 +340,12 @@ def seifert_matrix(t: PlaneTree) -> SeifertMatrix:
     ``V[v][v]`` is the sign of ``v``; each edge parent -> child contributes
     ``V[parent][child] = 1`` and leaves the transposed slot 0.
     """
-    n = t.size
-    m = [[0] * n for _ in range(n)]
-    for v in range(n):
-        m[v][v] = t.labels[v]
-        p = t.parents[v]
-        if p is not None:
-            m[p][v] = 1
-    return SeifertMatrix(tuple(tuple(row) for row in m))
+    return SeifertMatrix(tuple(map(tuple, _seifert_rows(t, 0))))
 
 
 def betti(t: PlaneTree) -> int:
     """First Betti number of the plumbed surface: one band per vertex."""
     return t.size
-
-
-def _alexander_of_matrix(m: SeifertMatrix) -> LaurentPolynomial:
-    e = m.entries
-    n = m.size
-    values = [
-        _det_int([[e[i][j] - k * e[j][i] for j in range(n)] for i in range(n)])
-        for k in range(n + 1)
-    ]
-    return LaurentPolynomial.from_coeffs(0, _interpolate_int(values)).normalized()
 
 
 def boundary_components(t: PlaneTree) -> int:
@@ -369,8 +355,20 @@ def boundary_components(t: PlaneTree) -> int:
 
 def genus(t: PlaneTree) -> int:
     """Genus of the plumbed surface (and of its boundary link): the
-    matching number ``nu(T)``, since ``rank(V - V^T) = 2 nu(T)`` on a tree."""
-    return _matching_number(t.parents, range(t.size))
+    matching number ``nu(T)``, since ``rank(V - V^T) = 2 nu(T)`` on a tree.
+
+    Children first, each still-free vertex is matched to a free parent.  A
+    vertex left free when its parent is reached has only matched children,
+    so it is a leaf of what remains and matching it up is optimal.
+    """
+    free = [True] * t.size
+    nu = 0
+    for v in range(t.size - 1, 0, -1):
+        p = t.parents[v]
+        if free[v] and free[p]:  # type: ignore[index]
+            free[v] = free[p] = False  # type: ignore[index]
+            nu += 1
+    return nu
 
 
 def alexander(t: PlaneTree) -> LaurentPolynomial:
@@ -380,17 +378,18 @@ def alexander(t: PlaneTree) -> LaurentPolynomial:
     t = 0..n, then shifted and sign-fixed; the output is identical across
     implementations by construction.
     """
-    return _alexander_of_matrix(seifert_matrix(t))
+    values = [_det_int(_seifert_rows(t, k)) for k in range(t.size + 1)]
+    return LaurentPolynomial.from_coeffs(0, _interpolate_int(values)).normalized()
 
 
 def signature(t: PlaneTree) -> int:
     """Signature of ``V + V^T`` (the link signature of the boundary)."""
-    return _signature_nullity(t.labels, t.parents, range(t.size))[0]
+    return _signature_nullity(t)[0]
 
 
 def nullity(t: PlaneTree) -> int:
     """Nullity of ``V + V^T``."""
-    return _signature_nullity(t.labels, t.parents, range(t.size))[1]
+    return _signature_nullity(t)[1]
 
 
 def determinant(t: PlaneTree) -> int:
@@ -398,27 +397,24 @@ def determinant(t: PlaneTree) -> int:
     return abs(alexander(t).evaluate(-1))
 
 
-def fingerprint_of_matrix(m: SeifertMatrix) -> Fingerprint:
-    """All invariants computed from a Seifert matrix alone.
-
-    ``n``, ``b``, ``g``, signature and nullity depend only on the signs
-    and the tree of nonzero off-diagonal slots, so permuting the basis,
-    re-signing by a diagonal of +-1 or moving an edge's unit to its other
-    slot cannot change them.  Nor can they change Delta: every term of
-    ``det(V - t V^T)`` takes an edge's two slots together, as ``-t``.
-    """
-    signs, parents, order = _support_tree(m)
-    n = m.size
-    g = _matching_number(parents, order)
-    sig, nul = _signature_nullity(signs, parents, order)
-    delta = _alexander_of_matrix(m)
-    det = abs(delta.evaluate(-1))
-    return Fingerprint(n, n - 2 * g + 1, g, delta, sig, det, nul)
-
-
 def fingerprint(t: PlaneTree) -> Fingerprint:
     """Invariant tuple (n, b, g, Delta, sigma, det, nullity) of ``t``."""
-    return fingerprint_of_matrix(seifert_matrix(t))
+    g = genus(t)
+    sig, nul = _signature_nullity(t)
+    delta = alexander(t)
+    return Fingerprint(t.size, t.size - 2 * g + 1, g, delta, sig, abs(delta.evaluate(-1)), nul)
+
+
+def fingerprint_of_matrix(m: SeifertMatrix) -> Fingerprint:
+    """The fingerprint of the tree that ``m`` is supported on.
+
+    Every invariant depends only on the signs and the tree of nonzero
+    off-diagonal slots, so permuting the basis, re-signing by a diagonal
+    of +-1 or moving an edge's unit to its other slot cannot change it.
+    For Delta: every term of ``det(V - t V^T)`` takes an edge's two slots
+    together, as ``-t``.
+    """
+    return fingerprint(_support_tree(m))
 
 
 def top_defect_upper_bound(t: PlaneTree) -> int:
@@ -428,13 +424,10 @@ def top_defect_upper_bound(t: PlaneTree) -> int:
     bound for the topological 4-genus of a knot, so the genus defect
     ``g - g4`` is at most this value.
     """
-    order = range(t.size)
-    g = _matching_number(t.parents, order)
-    b = t.size - 2 * g + 1
+    b = boundary_components(t)
     if b != 1:
         raise ValueError(f"not a knot: boundary has {b} components")
-    sig, _ = _signature_nullity(t.labels, t.parents, order)
-    return g - abs(sig) // 2
+    return genus(t) - abs(signature(t)) // 2
 
 
 def smooth_defect_guarantee(t: PlaneTree) -> bool:

@@ -39,6 +39,7 @@ from typing import Iterator
 
 from .embedding import embeds
 from .invariants import (
+    betti,
     boundary_components,
     determinant,
     fingerprint,
@@ -166,13 +167,13 @@ def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD) -> PosetReport:
 # Predicate registry.
 # ---------------------------------------------------------------------------
 
-_REGISTRY = {
-    "size_le": (True, False, lambda t, k: t.size <= k),
-    "genus_le": (True, False, lambda t, k: genus(t) <= k),
-    "all_positive": (False, False, lambda t: all(l == 1 for l in t.labels)),
-    "sig_abs_le": (True, False, lambda t, k: abs(signature(t)) <= k),
-    "det_le": (True, False, lambda t, k: determinant(t) <= k),
-    "top_defect_ub_le": (True, True, lambda t, k: top_defect_upper_bound(t) <= k),
+_REGISTRY = {  # name: (parameter count, knots only, test)
+    "size_le": (1, False, lambda t, k: t.size <= k),
+    "genus_le": (1, False, lambda t, k: genus(t) <= k),
+    "all_positive": (0, False, lambda t: all(l == 1 for l in t.labels)),
+    "sig_abs_le": (1, False, lambda t, k: abs(signature(t)) <= k),
+    "det_le": (1, False, lambda t, k: determinant(t) <= k),
+    "top_defect_ub_le": (1, True, lambda t, k: top_defect_upper_bound(t) <= k),
 }
 
 
@@ -186,7 +187,16 @@ class Predicate:
 
     name: str
     params: tuple[int, ...] = ()
-    knots_only: bool = False
+
+    def __post_init__(self):
+        if self.name not in _REGISTRY:
+            raise ValueError(f"unknown predicate {self.name!r}")
+        if len(self.params) != _REGISTRY[self.name][0]:
+            raise ValueError(f"wrong parameter count for predicate {self.name!r}: {self.params!r}")
+
+    @property
+    def knots_only(self) -> bool:
+        return _REGISTRY[self.name][1]
 
     @classmethod
     def parse(cls, spec: str) -> "Predicate":
@@ -194,34 +204,29 @@ class Predicate:
         name, sep, arg = spec.partition(":")
         if name not in _REGISTRY:
             raise ValueError(f"unknown predicate {name!r}")
-        needs_param, knots_only, _ = _REGISTRY[name]
-        if needs_param:
-            if not arg:
-                raise ValueError(f"predicate {name!r} requires a parameter, e.g. {name}:2")
-            try:
-                params = (int(arg),)
-            except ValueError:
-                raise ValueError(
-                    f"predicate {name!r} needs an integer parameter, got {arg!r}"
-                ) from None
-        elif sep:
-            raise ValueError(f"predicate {name!r} takes no parameter")
-        else:
-            params = ()
-        return cls(name, params, knots_only)
+        if not _REGISTRY[name][0]:
+            if sep:
+                raise ValueError(f"predicate {name!r} takes no parameter")
+            return cls(name)
+        if not arg:
+            raise ValueError(f"predicate {name!r} requires a parameter, e.g. {name}:2")
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError(
+                f"predicate {name!r} needs an integer parameter, got {arg!r}"
+            ) from None
+        return cls(name, (k,))
 
 
 def evaluate(p: Predicate, t: PlaneTree) -> bool:
     """Evaluate a registry predicate on one tree."""
-    if p.name not in _REGISTRY:
-        raise ValueError(f"unknown predicate {p.name!r}")
-    needs_param, knots_only, fn = _REGISTRY[p.name]
-    if knots_only and boundary_components(t) != 1:
+    if p.knots_only and boundary_components(t) != 1:
         raise ValueError(
             f"predicate {p.name!r} is defined for knots only; "
             f"{t.text!r} bounds a multi-component link"
         )
-    return fn(t, *p.params) if needs_param else fn(t)
+    return _REGISTRY[p.name][2](t, *p.params)
 
 
 def _first_embedded(t: PlaneTree, family) -> int | None:
@@ -267,10 +272,7 @@ def minimal_excluded(
     return sorted(minimal, key=lambda t: t.text)
 
 
-_QUANTITIES = {
-    "betti": lambda t: t.size,
-    "genus": genus,
-}
+_QUANTITIES = {"betti": betti, "genus": genus}
 
 
 def audit_monotone(

@@ -466,11 +466,15 @@ def tree_from_json_obj(obj: dict) -> PlaneTree:
     stack: list[tuple[dict, int | None]] = [(obj, None)]
     while stack:
         node, parent = stack.pop()
-        label = node["label"]
-        if label not in _CHAR_SIGN:
+        if not isinstance(node, dict):
+            raise ValueError(f"a tree node must be an object, got {type(node).__name__}")
+        label, kids = node.get("label"), node.get("children", [])
+        if label not in ("+", "-"):  # a tuple, so an unhashable label is no TypeError
             raise ValueError(f"invalid label {label!r}")
+        if not isinstance(kids, list):
+            raise ValueError(f"children must be a list, got {type(kids).__name__}")
         labels.append(_CHAR_SIGN[label])
         parents.append(parent)
         v = len(labels) - 1
-        stack.extend((kid, v) for kid in reversed(node.get("children", [])))
+        stack.extend((kid, v) for kid in reversed(kids))
     return PlaneTree(tuple(labels), tuple(parents))

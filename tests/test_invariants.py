@@ -375,12 +375,11 @@ def test_basis_flip_invariance_seeded():
         assert fingerprint_of_matrix(flipped) == fingerprint_of_matrix(v)
 
 
-@settings(deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2**32), st.randoms(use_true_random=False))
-def test_fingerprint_of_matrix_reads_only_the_support_tree(n, seed, rnd):
-    # Permute the basis, put each edge's unit in a random slot with a
-    # random sign, then re-sign by a random +-1 diagonal congruence.
-    t = random_tree(n, seed)
+def _scrambled(t, rnd):
+    """A Seifert matrix of ``t`` in another basis: permute the basis, put
+    each edge's unit in a random slot with a random sign, then re-sign by
+    a random +-1 diagonal congruence."""
+    n = t.size
     name = list(range(n))
     rnd.shuffle(name)
     e = [[0] * n for _ in range(n)]
@@ -390,10 +389,39 @@ def test_fingerprint_of_matrix_reads_only_the_support_tree(n, seed, rnd):
             i, j = (name[p], name[v]) if rnd.random() < 0.5 else (name[v], name[p])
             e[i][j] = rnd.choice((1, -1))
     d = [rnd.choice((1, -1)) for _ in range(n)]
-    m = SeifertMatrix(tuple(tuple(d[i] * d[j] * e[i][j] for j in range(n)) for i in range(n)))
+    return SeifertMatrix(tuple(tuple(d[i] * d[j] * e[i][j] for j in range(n)) for i in range(n)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_fingerprint_of_matrix_reads_only_the_support_tree(n, seed, rnd):
+    t = random_tree(n, seed)
+    m = _scrambled(t, rnd)
     fp = fingerprint_of_matrix(m)
     assert (fp.b, fp.g, fp.signature, fp.nullity) == dense_invariants(m)
     assert fp == fingerprint(t)
+
+
+def test_fingerprint_of_matrix_alexander_matches_sympy_on_scrambled_matrices():
+    # fingerprint_of_matrix reads only the support tree, so sympy on the
+    # scrambled matrix itself is the dense oracle for its Delta.
+    rnd = random.Random(20260117)
+    for _ in range(40):
+        m = _scrambled(random_tree(rnd.randint(1, 7), rnd.randrange(2**32)), rnd)
+        assert fingerprint_of_matrix(m).alexander == sympy_alexander(m), m.entries
+
+
+def test_invariants_build_no_seifert_matrix(u5, monkeypatch):
+    # The support tree of the matrix of a tree is the tree itself.
+    assert all(invariants._support_tree(seifert_matrix(t)) == t for t in u5.trees)
+    want = [(fingerprint(t), alexander(t), determinant(t)) for t in u5.trees]
+
+    def no_matrix(*args):
+        raise AssertionError("a Seifert matrix was built")
+
+    monkeypatch.setattr(invariants, "seifert_matrix", no_matrix)
+    monkeypatch.setattr(invariants, "SeifertMatrix", no_matrix)
+    assert [(fingerprint(t), alexander(t), determinant(t)) for t in u5.trees] == want
 
 
 # --- defect bounds -----------------------------------------------------------

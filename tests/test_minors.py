@@ -156,6 +156,18 @@ def test_evaluate_domain_errors():
         evaluate(Predicate.parse("top_defect_ub_le:1"), parse("+"))
 
 
+def test_predicate_reads_the_registry():
+    # knots_only comes from the registry, not from how the value was built.
+    assert Predicate("top_defect_ub_le", (0,)).knots_only
+    assert Predicate("top_defect_ub_le", (0,)) == Predicate.parse("top_defect_ub_le:0")
+    with pytest.raises(ValueError, match="knots only"):
+        evaluate(Predicate("top_defect_ub_le", (0,)), parse("+"))
+    # A parameter count the registry does not take is refused on construction.
+    for name, params in (("size_le", ()), ("size_le", (1, 2)), ("all_positive", (1,))):
+        with pytest.raises(ValueError, match="wrong parameter count"):
+            Predicate(name, params)
+
+
 # --- excluded-minor machinery ------------------------------------------------
 
 

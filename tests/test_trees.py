@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 
 import pytest
@@ -393,3 +394,18 @@ def test_json_round_trip():
 def test_json_rejects_bad_label():
     with pytest.raises(ValueError):
         tree_from_json_obj({"label": "0", "children": []})
+
+
+@pytest.mark.parametrize(
+    "obj, fault",
+    [
+        ({"children": []}, "invalid label None"),
+        ({"label": ["+"], "children": []}, "invalid label ['+']"),
+        ({"label": "+", "children": "+-"}, "children must be a list, got str"),
+        ({"label": "+", "children": [["+"]]}, "must be an object, got list"),
+        (["+"], "must be an object, got list"),
+    ],
+)
+def test_json_rejects_malformed_objects(obj, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        tree_from_json_obj(obj)
