@@ -27,7 +27,10 @@ from .trees import (
 
 
 def _limit(text: str) -> int:
-    limit = int(text)
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1  # reported in the same words as a negative value
     if limit < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return limit

@@ -154,20 +154,7 @@ class SeifertMatrix:
             raise ValueError("entries must form a nonempty square matrix")
         if any(self.entries[i][i] not in (1, -1) for i in range(n)):
             raise ValueError("diagonal entries must be +-1")
-        edges = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = self.entries[i][j], self.entries[j][i]
-                if a == b == 0:
-                    continue
-                if not ((a in (1, -1) and b == 0) or (b in (1, -1) and a == 0)):
-                    raise ValueError(
-                        f"off-diagonal pair ({i},{j}) must be a single +-1 against a 0"
-                    )
-                edges += 1
-        if edges != n - 1:
-            raise ValueError("off-diagonal support must have n-1 edges")
-        _support_tree(self)  # connected with n-1 edges, so a tree
+        _support_tree(self)  # checks the off-diagonal pairs and the tree
 
     @property
     def size(self) -> int:
@@ -267,23 +254,33 @@ def _support_tree(m: SeifertMatrix) -> PlaneTree:
     """The tree ``m`` lives on, renumbered in preorder from basis vector 0.
 
     Vertex signs are the diagonal; which slot an edge's unit sits in, and
-    its sign, are dropped.  Raises ``ValueError`` when the off-diagonal
-    support is not connected.
+    its sign, are dropped.  Raises ``ValueError`` when an off-diagonal
+    pair is not zero or a single +-1 against a 0, or when the support is
+    not a tree: a nonzero pair to a vertex already found, other than the
+    one the walk came from, closes a cycle.
     """
     e = m.entries
     n = len(e)
     seen = [True] + [False] * (n - 1)
     labels: list[int] = []
     parents: list[int | None] = []
-    stack: list[tuple[int, int | None]] = [(0, None)]
+    stack: list[tuple[int, int | None, int | None]] = [(0, None, None)]
     while stack:
-        v, p = stack.pop()
+        v, p, came_from = stack.pop()
         labels.append(e[v][v])
         parents.append(p)
-        for u in range(n - 1, 0, -1):  # pushed downwards, so popped in basis order
-            if not seen[u] and (e[v][u] or e[u][v]):
-                seen[u] = True
-                stack.append((u, len(labels) - 1))
+        for u in range(n - 1, -1, -1):  # pushed downwards, so popped in basis order
+            a, b = e[v][u], e[u][v]
+            if u == v or a == b == 0:
+                continue
+            if not ((a in (1, -1) and b == 0) or (b in (1, -1) and a == 0)):
+                raise ValueError(f"off-diagonal pair ({v},{u}) must be a single +-1 against a 0")
+            if u == came_from:
+                continue
+            if seen[u]:
+                raise ValueError(f"off-diagonal support has a cycle through ({v},{u})")
+            seen[u] = True
+            stack.append((u, len(labels) - 1, v))
     if len(labels) != n:
         raise ValueError("off-diagonal support must be connected")
     return PlaneTree(tuple(labels), tuple(parents))

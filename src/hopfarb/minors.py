@@ -193,6 +193,9 @@ class Predicate:
             raise ValueError(f"unknown predicate {self.name!r}")
         if len(self.params) != _REGISTRY[self.name][0]:
             raise ValueError(f"wrong parameter count for predicate {self.name!r}: {self.params!r}")
+        for k in self.params:
+            if type(k) is not int:  # not isinstance: a bool is no parameter
+                raise ValueError(f"predicate {self.name!r} needs an integer parameter, got {k!r}")
 
     @property
     def knots_only(self) -> bool:

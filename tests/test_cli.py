@@ -100,10 +100,11 @@ def test_enum_first_tree_of_size_2000(capsys):
 
 
 def test_negative_limit_is_usage_error(capsys):
-    assert run(["enum", "--size", "3", "--limit", "-1"]) == 2
-    out, err = out_of(capsys)
-    assert out == ""
-    assert "--limit: expected a non-negative integer, got '-1'" in err
+    for text in ("-1", "x", "1.5", ""):
+        assert run(["enum", "--size", "3", "--limit", text]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert f"--limit: expected a non-negative integer, got {text!r}" in err
 
 
 def test_parse_deep_tree_file(tmp_path, capsys):

@@ -103,6 +103,15 @@ def test_seifert_matrix_validation():
     )
     with pytest.raises(ValueError):
         SeifertMatrix(cyc)
+    # Connected with n edges: the path 0-1-2-3 and an edge from 3 back to 0.
+    ring = (
+        (1, 1, 0, 0),
+        (0, 1, 1, 0),
+        (0, 0, 1, 1),
+        (-1, 0, 0, 1),
+    )
+    with pytest.raises(ValueError, match="cycle"):
+        SeifertMatrix(ring)
 
 
 # --- Laurent polynomials -----------------------------------------------------

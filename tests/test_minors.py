@@ -166,6 +166,12 @@ def test_predicate_reads_the_registry():
     for name, params in (("size_le", ()), ("size_le", (1, 2)), ("all_positive", (1,))):
         with pytest.raises(ValueError, match="wrong parameter count"):
             Predicate(name, params)
+    # So is a parameter that is not an int, a bool included.
+    for k in ("3", 3.0, True, None):
+        with pytest.raises(ValueError, match=f"needs an integer parameter, got {k!r}"):
+            Predicate("size_le", (k,))
+    with pytest.raises(ValueError, match="needs an integer parameter"):
+        evaluate(Predicate("size_le", ("3",)), parse("+"))
 
 
 # --- excluded-minor machinery ------------------------------------------------

@@ -203,6 +203,37 @@ def test_unrank_agrees_with_enumeration():
             assert unrank(n, i) == t
 
 
+def _shape_word(t):
+    # '(' on entering each non-root vertex in preorder, ')' on leaving it.
+    out, path = [], [0]
+    for v in range(1, t.size):
+        while path[-1] != t.parents[v]:
+            path.pop()
+            out.append(")")
+        path.append(v)
+        out.append("(")
+    return "".join(out) + ")" * (len(path) - 1)
+
+
+def _is_balanced(word):
+    depth = 0
+    for c in word:
+        depth += 1 if c == "(" else -1
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def test_enumeration_order_matches_sorted_balanced_words():
+    # The order, built independently: every balanced word of n-1 pairs,
+    # sorted ('(' < ')'), and within each word every sign vector with
+    # '+' before '-'.
+    for n in range(1, 9):
+        words = sorted(w for w in map("".join, product("()", repeat=2 * (n - 1))) if _is_balanced(w))
+        expected = [(w, labels) for w in words for labels in product((1, -1), repeat=n)]
+        assert [(_shape_word(t), t.labels) for t in enumerate_trees(n)] == expected
+
+
 def test_unrank_range_errors():
     with pytest.raises(ValueError):
         unrank(3, 16)
