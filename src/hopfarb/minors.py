@@ -216,9 +216,7 @@ class Predicate:
         try:
             k = int(arg)
         except ValueError:
-            raise ValueError(
-                f"predicate {name!r} needs an integer parameter, got {arg!r}"
-            ) from None
+            k = arg  # the constructor rejects it
         return cls(name, (k,))
 
 
@@ -349,10 +347,6 @@ def _keyed(labels: tuple[int, ...], plan: list) -> str:
     return min(keys)
 
 
-def _unrooted_key(t: PlaneTree) -> str:
-    return _keyed(t.labels, _centre_plan(t.parents))
-
-
 def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
     """Partition the size-``n`` trees by fingerprint equality.
 
@@ -368,8 +362,6 @@ def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
     contributes the same factor ``-t`` to ``det(V - t V^T)`` whichever
     slot holds its unit.
     """
-    if n < 1:
-        raise ValueError("tree size must be >= 1")
     groups = defaultdict(list)
     fingerprints = {}
     plans = {}  # the trees of one shape share their ``parents``

@@ -169,55 +169,38 @@ def parse(text: str) -> PlaneTree:
     """Parse tree text into a :class:`PlaneTree` (preorder-numbered).
 
     Raises :class:`TreeSyntaxError` with the offending 0-based offset on
-    malformed input, including empty input and trailing garbage.  Input
-    without whitespace is canonical, so it becomes the tree's ``text``.
+    malformed input, including empty input and trailing garbage.  The
+    tree's ``text`` is the input without its whitespace, which is the
+    canonical text; whitespace-free input is kept as it is.
     """
-    n = len(text)
-
-    def skip_ws(pos: int) -> int:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        return pos
-
     labels: list[int] = []
     parents: list[int | None] = []
     open_: list[int] = []  # vertices whose '(' is not yet closed
-    pos = 0
-    while True:
-        # A tree starts here: its sign, then perhaps '(' opening its children.
-        pos = skip_ws(pos)
-        if pos >= n:
-            raise TreeSyntaxError("expected '+' or '-'", pos)
-        ch = text[pos]
-        if ch not in _CHAR_SIGN:
-            raise TreeSyntaxError(f"expected '+' or '-', found {ch!r}", pos)
-        labels.append(_CHAR_SIGN[ch])
-        parents.append(open_[-1] if open_ else None)
-        pos = skip_ws(pos + 1)
-        if pos < n and text[pos] == "(":
-            open_.append(len(labels) - 1)
-            pos += 1
+    last = ","  # the last token; a sign is due at the start and after ',' or '('
+    for pos, ch in enumerate(text):
+        if ch.isspace():
             continue
-        # The tree is complete: close open vertices until ',' starts a sibling.
-        while open_:
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == ",":
-                pos += 1
-                break
-            if pos >= n or text[pos] != ")":
-                raise TreeSyntaxError("expected ',' or ')'", pos)
-            pos += 1
+        if last in ",(":
+            if ch not in _CHAR_SIGN:
+                raise TreeSyntaxError(f"expected '+' or '-', found {ch!r}", pos)
+            labels.append(_CHAR_SIGN[ch])
+            parents.append(open_[-1] if open_ else None)
+        elif ch == "(" and last != ")":
+            open_.append(len(labels) - 1)
+        elif not open_:
+            raise TreeSyntaxError(f"unexpected trailing input {ch!r}", pos)
+        elif ch == ")":
             open_.pop()
-        else:
-            pos = skip_ws(pos)
-            if pos != n:
-                raise TreeSyntaxError(f"unexpected trailing input {text[pos]!r}", pos)
-            t = PlaneTree(tuple(labels), tuple(parents))
-            # A sign per vertex, ',' or '(' before all but the root, ')' per
-            # '(': nothing else means no whitespace, so ``text`` is canonical.
-            if n == 2 * len(labels) - 1 + text.count("("):
-                t.__dict__["text"] = text  # where the cached property keeps it
-            return t
+        elif ch != ",":
+            raise TreeSyntaxError("expected ',' or ')'", pos)
+        last = ch
+    if last in ",(":
+        raise TreeSyntaxError("expected '+' or '-'", len(text))
+    if open_:
+        raise TreeSyntaxError("expected ',' or ')'", len(text))
+    t = PlaneTree(tuple(labels), tuple(parents))
+    t.__dict__["text"] = "".join(text.split())  # where the cached property keeps it
+    return t
 
 
 def to_text(t: PlaneTree) -> str:

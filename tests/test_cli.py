@@ -291,6 +291,12 @@ def test_classes(capsys):
     assert out == "+(+)\n+(-) -(+)\n-(-)\n"
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_classes_rejects_a_size_below_one(capsys, size):
+    assert run(["classes", "--size", size]) == 1
+    assert out_of(capsys) == ("", "error: tree size must be >= 1\n")
+
+
 def test_classes_size_7_output_is_pinned(capsys):
     # The benchmark's golden stops at size 6; this pins the next size.
     assert run(["classes", "--size", "7"]) == 0

@@ -13,7 +13,6 @@ from hopfarb.minors import (
     _REGISTRY,
     _centre_plan,
     _keyed,
-    _unrooted_key,
     audit_monotone,
     check_excluded_family,
     evaluate,
@@ -338,6 +337,10 @@ def _plane_texts(t):
         }
 
     return set().union(*(texts(r, None) for r in range(t.size)))
+
+
+def _unrooted_key(t):
+    return _keyed(t.labels, _centre_plan(t.parents))
 
 
 def test_unrooted_key_is_exact():

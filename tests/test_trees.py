@@ -44,31 +44,44 @@ def test_parse_ignores_whitespace():
     assert parse("\t+\n(\n+ , - )") == parse("+(+,-)")
 
 
+PARSE_ERRORS = [
+    # A sign is due: after '(' or ',', and at the start.
+    ("", 0, "expected '+' or '-'"),
+    ("   ", 3, "expected '+' or '-'"),
+    ("+(", 2, "expected '+' or '-'"),
+    ("+(+,", 4, "expected '+' or '-'"),
+    ("x", 0, "expected '+' or '-', found 'x'"),
+    ("+(+,)", 4, "expected '+' or '-', found ')'"),
+    ("+()", 2, "expected '+' or '-', found ')'"),
+    ("+(+(-,)", 6, "expected '+' or '-', found ')'"),
+    ("+(-(+),x)", 7, "expected '+' or '-', found 'x'"),
+    ("-(+,-(+ ,+),)", 12, "expected '+' or '-', found ')'"),
+    # After a sign.
+    ("+(+", 3, "expected ',' or ')'"),
+    ("+(+ -)", 4, "expected ',' or ')'"),
+    ("+)", 1, "unexpected trailing input ')'"),
+    ("++", 1, "unexpected trailing input '+'"),
+    ("+ +", 2, "unexpected trailing input '+'"),
+    ("+,", 1, "unexpected trailing input ','"),
+    # After ')'.
+    ("+(+(-)", 6, "expected ',' or ')'"),
+    ("+(+(-) ", 7, "expected ',' or ')'"),
+    ("+(+(-)(+))", 6, "expected ',' or ')'"),
+    ("+(+))", 4, "unexpected trailing input ')'"),
+    ("+(+(-)),", 7, "unexpected trailing input ','"),
+    ("+(+)x", 4, "unexpected trailing input 'x'"),
+    ("+(+)(", 4, "unexpected trailing input '('"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,offset",
-    [
-        ("", 0),
-        ("   ", 3),
-        ("x", 0),
-        ("+(", 2),
-        ("+(+", 3),
-        ("+(+,", 4),
-        ("+(+,)", 4),
-        ("+()", 2),
-        ("+)", 1),
-        ("++", 1),
-        ("+(+))", 4),
-        ("+(+(-,)", 6),
-        ("+(+(-)),", 7),
-        ("+(-(+),x)", 7),
-        ("+(+(-)", 6),
-        ("-(+,-(+ ,+),)", 12),
-    ],
+    "text,offset,message", PARSE_ERRORS, ids=[f"{t}-{o}" for t, o, _ in PARSE_ERRORS]
 )
-def test_parse_errors_carry_offset(text, offset):
+def test_parse_errors_carry_offset(text, offset, message):
     with pytest.raises(TreeSyntaxError) as exc:
         parse(text)
     assert exc.value.offset == offset
+    assert str(exc.value) == f"syntax error at offset {offset}: {message}"
 
 
 def test_to_text_examples():
