@@ -21,20 +21,23 @@ From the matrix V everything else is classical and computed exactly:
   0 and positive leading coefficient,
 * signature and nullity of ``V + V^T``, which is congruent to
   ``2E + A(T)`` (E the diagonal of signs, A the adjacency matrix),
-* link determinant ``|Delta(-1)|``.
+* link determinant ``|Delta(-1)| = |det(V + V^T)|``.
 
 No floating point is used anywhere, and every invariant reads the tree:
-genus, boundary count, signature and nullity are linear passes over its
-preorder ``labels`` and ``parents`` (a greedy matching from the leaves
-up, and Jacobs-Trevisan diagonalization over exact rationals).  Only the
+genus, boundary count, signature, nullity and determinant are linear
+passes over its preorder ``labels`` and ``parents`` (a greedy matching
+from the leaves up, and Jacobs-Trevisan diagonalization over exact
+rationals, whose diagonal multiplies to ``+-det(V + V^T)``).  Only the
 Alexander polynomial is dense: fraction-free integer determinants of
 ``V - k V^T``, written from the tree, at k = 0..n, then interpolation
-over the integers.  ``fingerprint_of_matrix`` of any Seifert matrix is
-the fingerprint of the tree it is supported on.
+over the integers; ``Fingerprint`` checks its value at -1 against the
+determinant.  ``fingerprint_of_matrix`` of any Seifert matrix is the
+fingerprint of the tree it is supported on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,7 +169,8 @@ class Fingerprint:
     """Bundle of exact invariants used as a proxy class for boundary links.
 
     Equality of fingerprints is necessary but not sufficient for isotopy
-    of the boundary links; classes built from it may over-merge.
+    of the boundary links; classes built from it may over-merge.  Its
+    determinant, from the signature pass, is checked against Delta(-1).
     """
 
     n: int
@@ -297,14 +301,15 @@ def _seifert_rows(t: PlaneTree, k: int) -> list[list[int]]:
     return rows
 
 
-def _signature_nullity(t: PlaneTree) -> tuple[int, int]:
-    """Signature and nullity of ``V + V^T``, congruent to ``2E + A(T)``.
+def _symmetric_invariants(t: PlaneTree) -> tuple[int, int, int]:
+    """Signature, nullity and |det| of ``V + V^T``, congruent to ``2E + A(T)``.
 
     Jacobs-Trevisan diagonalization: each vertex starts at twice its sign
     and takes ``-1/a(c)`` from every live child ``c``; a vertex with a zero
     child instead sets that child to 2, itself to -1/2, and is cut from its
     parent.  The edge units only enter squared, so their signs and slots
-    do not matter.
+    do not matter.  Every step keeps the determinant, so the diagonal's product,
+    taken children first (an integer at each step), is ``+-det(V + V^T)``.
     """
     a = [Fraction(2 * s) for s in t.labels]
     zero_child: list[int | None] = [None] * t.size
@@ -322,7 +327,7 @@ def _signature_nullity(t: PlaneTree) -> tuple[int, int]:
             zero_child[p] = v
     pos = sum(x > 0 for x in a)
     neg = sum(x < 0 for x in a)
-    return pos - neg, len(a) - pos - neg
+    return pos - neg, len(a) - pos - neg, abs(int(math.prod(reversed(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +386,24 @@ def alexander(t: PlaneTree) -> LaurentPolynomial:
 
 def signature(t: PlaneTree) -> int:
     """Signature of ``V + V^T`` (the link signature of the boundary)."""
-    return _signature_nullity(t)[0]
+    return _symmetric_invariants(t)[0]
 
 
 def nullity(t: PlaneTree) -> int:
     """Nullity of ``V + V^T``."""
-    return _signature_nullity(t)[1]
+    return _symmetric_invariants(t)[1]
 
 
 def determinant(t: PlaneTree) -> int:
-    """Link determinant ``|Delta(-1)|``."""
-    return abs(alexander(t).evaluate(-1))
+    """Link determinant ``|Delta(-1)|``, read off the signature pass."""
+    return _symmetric_invariants(t)[2]
 
 
 def fingerprint(t: PlaneTree) -> Fingerprint:
     """Invariant tuple (n, b, g, Delta, sigma, det, nullity) of ``t``."""
     g = genus(t)
-    sig, nul = _signature_nullity(t)
-    delta = alexander(t)
-    return Fingerprint(t.size, t.size - 2 * g + 1, g, delta, sig, abs(delta.evaluate(-1)), nul)
+    sig, nul, det = _symmetric_invariants(t)
+    return Fingerprint(t.size, t.size - 2 * g + 1, g, alexander(t), sig, det, nul)
 
 
 def fingerprint_of_matrix(m: SeifertMatrix) -> Fingerprint:
@@ -421,10 +425,10 @@ def top_defect_upper_bound(t: PlaneTree) -> int:
     bound for the topological 4-genus of a knot, so the genus defect
     ``g - g4`` is at most this value.
     """
-    b = boundary_components(t)
-    if b != 1:
+    g = genus(t)
+    if (b := t.size - 2 * g + 1) != 1:
         raise ValueError(f"not a knot: boundary has {b} components")
-    return genus(t) - abs(signature(t)) // 2
+    return g - abs(signature(t)) // 2
 
 
 def smooth_defect_guarantee(t: PlaneTree) -> bool:

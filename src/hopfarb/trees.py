@@ -157,10 +157,6 @@ class PlaneTree:
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
 
-    def preorder(self) -> list[int]:
-        """Vertex indices in preorder, which is ``0 .. n-1``."""
-        return list(range(self.size))
-
     def __repr__(self):
         return f"PlaneTree({self.text!r})"
 

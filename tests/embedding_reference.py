@@ -17,8 +17,8 @@ def tables(t1, t2):
     ch1, ch2 = t1.children, t2.children
     emb = [[False] * t2.size for _ in range(t1.size)]
     sub = [[False] * t2.size for _ in range(t1.size)]
-    order1 = t1.preorder()
-    for v in reversed(t2.preorder()):
+    order1 = range(t1.size)
+    for v in reversed(range(t2.size)):
         cv = ch2[v]
         for u in reversed(order1):
             e = False
@@ -63,7 +63,7 @@ def embed_witness(t1, t2):
     if t1.size > t2.size:
         return None
     emb, sub = tables(t1, t2)
-    anchor = next((v for v in t2.preorder() if emb[t1.root][v]), None)
+    anchor = next((v for v in range(t2.size) if emb[t1.root][v]), None)
     if anchor is None:
         return None
     vmap = [-1] * t1.size
@@ -82,5 +82,5 @@ def embed_witness(t1, t2):
             w = next(x for x in preorder_within(t2, d) if emb[c][x])
             paths[c] = descending_path(t2, v, w)
             stack.append((c, w))
-    edge_order = [v for v in t1.preorder() if v != t1.root]
+    edge_order = [v for v in range(t1.size) if v != t1.root]
     return EmbeddingWitness(tuple(vmap), tuple(paths[c] for c in edge_order))

@@ -17,7 +17,7 @@ def splice(t, gone):
     """
     slot = [None] * t.size  # new index of v, or of its nearest kept ancestor
     labels, parents = [], []
-    for v in t.preorder():
+    for v in range(t.size):
         p = t.parents[v]
         up = None if p is None else slot[p]
         if v in gone:

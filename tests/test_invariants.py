@@ -239,15 +239,6 @@ def test_alexander_matches_sympy_random_5_to_8():
         assert alexander(t) == sympy_alexander(seifert_matrix(t)), t.text
 
 
-def test_determinant_is_det_of_symmetrized_matrix(u5):
-    # Delta(-1) = det(V + V^T) exactly, so |det(V + V^T)| is an
-    # independent route to the link determinant.
-    from hopfarb.invariants import _det_int
-
-    for t in u5.trees:
-        assert determinant(t) == abs(_det_int(sym_part(seifert_matrix(t))))
-
-
 def test_genus_and_boundary_via_matching_oracle(u6):
     # rank(V - V^T) equals twice the maximum matching of the tree, giving
     # a purely combinatorial oracle for genus and boundary count.
@@ -261,6 +252,30 @@ def test_genus_and_boundary_via_matching_oracle(u6):
 # must cut that vertex from its parent, and here the cut changes the
 # parent's sign (no tree with n <= 6 shows this).
 CUT_BELOW_ROOT = ["-(+(+(+,+,+,+)))", "-(-(-(-,-,-,-)))", "-(+(+,-(-,-,-,-)))"]
+
+
+def test_determinant_is_det_of_symmetrized_matrix(u6):
+    # Delta(-1) = det(V + V^T) exactly, so |det(V + V^T)| by dense
+    # elimination is an independent oracle for the diagonal's product.
+    # The cut trees put 2 * (-1/2) = -1 into that product.
+    from hopfarb.invariants import _det_int
+
+    for t in [*u6.trees, *map(parse, CUT_BELOW_ROOT)]:
+        assert determinant(t) == abs(_det_int(sym_part(seifert_matrix(t)))), t.text
+
+
+def test_fingerprint_checks_determinant_against_alexander(monkeypatch):
+    # The diagonal and the dense Delta are independent routes to det, so
+    # a wrong diagonal product cannot pass Fingerprint's check.
+    real = invariants._symmetric_invariants
+
+    def off_by_one(t):
+        sig, nul, det = real(t)
+        return sig, nul, det + 1
+
+    monkeypatch.setattr(invariants, "_symmetric_invariants", off_by_one)
+    with pytest.raises(ValueError, match="determinant"):
+        fingerprint(parse("+(+)"))
 
 
 def test_tree_passes_match_dense_reference(u6):
@@ -286,6 +301,7 @@ def test_tree_passes_on_10_4_vertices(monkeypatch):
 
     monkeypatch.setattr(invariants, "seifert_matrix", no_matrix)
     monkeypatch.setattr(invariants, "SeifertMatrix", no_matrix)
+    monkeypatch.setattr(invariants, "_det_int", no_matrix)
     # On a path every pivot keeps its vertex's sign and exceeds 1 in size.
     for t in (alternating, positive):
         assert genus(t) == n // 2
@@ -293,10 +309,16 @@ def test_tree_passes_on_10_4_vertices(monkeypatch):
         assert signature(t) == sum(t.labels)
         assert nullity(t) == 0
     assert signature(positive) == n
+    assert determinant(positive) == n + 1
+    # det(2E + A) of a path by the tridiagonal recurrence, d_k = +-2.
+    prev, cur = 0, 1
+    for s in alternating.labels:
+        prev, cur = cur, 2 * s * cur - prev
+    assert determinant(alternating) == abs(cur)
     assert top_defect_upper_bound(alternating) == n // 2
     assert top_defect_upper_bound(positive) == 0
     assert (genus(star), boundary_components(star)) == (1, star.size - 1)
-    assert (signature(star), nullity(star)) == (4, 1)
+    assert (signature(star), nullity(star), determinant(star)) == (4, 1, 0)
     with pytest.raises(ValueError, match="not a knot"):
         top_defect_upper_bound(star)
     g, sig, nul = genus(big), signature(big), nullity(big)
