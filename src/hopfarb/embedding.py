@@ -69,12 +69,11 @@ def _rows(t1: PlaneTree, t2: PlaneTree) -> list[list[int]] | None:
     distinct children subtrees of ``v``.  The leftmost-feasible greedy is
     complete: each child takes its first host from the next free child
     subtree on, found by bisection.  The root's list stops at its first
-    host.  ``None`` at the first empty list, or when the sign counts rule
-    an embedding out (it is injective and keeps signs).
+    host.  ``None`` at the first empty list, or when ``t1`` has more
+    vertices of one sign than ``t2`` (an embedding is injective and keeps signs).
     """
-    _, _, sum1 = t1.traversal
-    signed2, end2, sum2 = t2.traversal
-    if abs(sum1 - sum2) > len(t2.labels) - len(t1.labels):
+    signed1, (signed2, end2) = t1.traversal[0], t2.traversal
+    if len(signed1[1]) > len(signed2[1]) or len(signed1[-1]) > len(signed2[-1]):
         return None
     ch1, lab1, ch2 = t1.children, t1.labels, t2.children
     sub: list = [None] * len(t1.labels)
@@ -167,8 +166,8 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
         if len(path) < 2 or path[0] != vmap[u] or path[-1] != vmap[c]:
             return False
         for a, b in zip(path, path[1:]):
-            if t2.parents[b] != a:
-                return False  # not a strictly descending step
+            if not 0 <= b < n2 or t2.parents[b] != a:
+                return False  # not a vertex of t2, or not a strictly descending step
         inner = set(path[1:-1])
         if len(inner) != len(path) - 2:
             return False

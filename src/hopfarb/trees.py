@@ -93,6 +93,10 @@ class PlaneTree:
     root: ClassVar[int] = 0
 
     def __post_init__(self):
+        if type(self.labels) is not tuple:  # a list would compare unequal and not hash
+            object.__setattr__(self, "labels", tuple(self.labels))
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(self.parents))
         n = len(self.labels)
         if n == 0:
             raise ValueError("a plane tree has at least one vertex")
@@ -139,8 +143,8 @@ class PlaneTree:
         return "".join(out)
 
     @cached_property
-    def traversal(self) -> tuple[dict[int, list[int]], list[int], int]:
-        """``(signed, end, label_sum)``, read by the embedding DP.
+    def traversal(self) -> tuple[dict[int, list[int]], list[int]]:
+        """``(signed, end)``, read by the embedding DP.
 
         ``signed[s]`` lists the vertices of sign ``s`` in ascending index
         order, which is preorder.  ``end[v]`` is one past the last
@@ -152,7 +156,7 @@ class PlaneTree:
         for v in range(self.size - 1, 0, -1):  # descendants come later in preorder
             p = self.parents[v]
             end[p] = max(end[p], end[v])  # type: ignore[index]
-        return signed, end, sum(self.labels)
+        return signed, end
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]

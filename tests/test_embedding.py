@@ -105,6 +105,10 @@ def test_verify_witness_rejects_bad_paths():
     assert not verify_witness(t1, t2, EmbeddingWitness((2, 0), ((2, 1, 0),)))
     # Duplicate images.
     assert not verify_witness(t1, t2, EmbeddingWitness((0, 0), ((0, 0),)))
+    # An inner path vertex that is not a vertex of the host.
+    t3 = parse("+(-(+))")
+    assert not verify_witness(t1, t3, EmbeddingWitness((0, 2), ((0, 9, 2),)))
+    assert not verify_witness(t1, t3, EmbeddingWitness((0, 2), ((0, -2, 2),)))
 
 
 def test_verify_witness_rejects_order_violation():

@@ -118,6 +118,12 @@ def test_invalid_constructions_rejected():
             PlaneTree(labels, parents)
 
 
+def test_tree_built_from_lists_equals_its_parse():
+    t = PlaneTree([1, 1], [None, 0])
+    assert (t.labels, t.parents) == ((1, 1), (None, 0))
+    assert t == parse("+(+)") and hash(t) == hash(parse("+(+)"))
+
+
 def test_constructor_accepts_exactly_the_preorder_numberings():
     # Of the (n-1)! parent sequences with parents[v] < v, the preorder
     # numberings are one per plane shape: Catalan(n-1) of them.
