@@ -14,11 +14,11 @@ search over the reduction operations (`oracle_embeds`), kept independent
 so each can cross-validate the other.
 
 The program keeps, per vertex ``u`` of ``T1``, the ascending list of the
-vertices of ``T2`` that host ``u``.  Vertices are numbered in preorder,
-so every subtree of ``T2`` is an index interval, and whether a child of
-``u`` has a host in a given run of child subtrees is one bisection of
-its list.  Memory stays linear in the host for each vertex of ``T1``,
-so hosts of 10^5 vertices are in reach.
+vertices of ``T2`` that host ``u``, from ``T2.signed``.  In preorder the
+subtree of ``v`` is ``range(v, T2.end[v])``, so whether a child of ``u``
+has a host in a run of child subtrees is one bisection of its list.
+Memory stays linear in the host per vertex of ``T1``: hosts of 10^5
+vertices are in reach.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ def _rows(t1: PlaneTree, t2: PlaneTree) -> list[list[int]] | None:
     ``v``: the signs agree and the children of ``u`` go, in order, into
     distinct children subtrees of ``v``.  The leftmost-feasible greedy is
     complete: each child takes its first host from the next free child
-    subtree on, found by bisection.  The root's list stops at its first
-    host.  ``None`` at the first empty list, or when ``t1`` has more
-    vertices of one sign than ``t2`` (an embedding is injective and keeps signs).
+    subtree on (``t2.end`` bounds each), found by bisection.  The root's
+    list stops at its first host.  ``None`` at the first empty list, or
+    when ``t1.signed`` has more vertices of one sign than ``t2.signed``
+    (an embedding is injective and keeps signs).
     """
-    signed1, (signed2, end2) = t1.traversal[0], t2.traversal
+    signed1, signed2, end2 = t1.signed, t2.signed, t2.end
     if len(signed1[1]) > len(signed2[1]) or len(signed1[-1]) > len(signed2[-1]):
         return None
     ch1, lab1, ch2 = t1.children, t1.labels, t2.children
@@ -124,7 +125,7 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
     sub = _rows(t1, t2)
     if sub is None:
         return None
-    end2, ch2, par2 = t2.traversal[1], t2.children, t2.parents
+    end2, ch2, par2 = t2.end, t2.children, t2.parents
     vmap: list[int] = [-1] * t1.size
     paths: list[tuple[int, ...]] = [()] * t1.size
     stack = [(t1.root, sub[t1.root][0])]
@@ -147,16 +148,9 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
     """Check every witness invariant for the pair ``(t1, t2)`` from scratch."""
     n1, n2 = t1.size, t2.size
     vmap = w.vertex_map
-    if len(vmap) != n1:
+    if len(vmap) != n1 or len(set(vmap)) != n1 or len(w.edge_paths) != n1 - 1:
         return False
-    if any(not (0 <= v < n2) for v in vmap):
-        return False
-    if len(set(vmap)) != n1:
-        return False
-    if any(t1.labels[u] != t2.labels[vmap[u]] for u in range(n1)):
-        return False
-
-    if len(w.edge_paths) != n1 - 1:
+    if any(not 0 <= v < n2 or t1.labels[u] != t2.labels[v] for u, v in enumerate(vmap)):
         return False
     mapped = set(vmap)
     interiors: set[int] = set()

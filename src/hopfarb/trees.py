@@ -21,12 +21,13 @@ canonical texts are.
 :class:`PlaneTree` is the one tree representation, and its vertices are
 always numbered in preorder: vertex ``v`` is the ``v``-th sign of the
 canonical text.  So each reduction is a splice of that text, and the
-reduced tree comes from :func:`parse`.  Nothing in this
-module recurses, the enumeration included, so tree depth and size are
-bounded by memory, not by recursion limits.  Each shape of
-``enumerate_trees(n)`` costs one unranking walk of O(n) steps on O(n)-bit
-integers, so its first tree takes O(n^2) bit operations: about 0.1 s at
-n = 10^4 and 10 s at n = 10^5 on a shared 2-core host.
+reduced tree comes from :func:`parse`.  Nothing here recurses, so tree
+depth and size are bounded by memory alone.  ``enumerate_trees`` builds
+and checks one tree per shape, after an unranking walk of O(n) steps on
+O(n)-bit integers (O(n^2) bit operations: its first tree takes about
+0.1 s at n = 10^4 and 10 s at n = 10^5 on a shared 2-core host).  It
+stamps the shape's 2^n trees from that one, unchecked: they share its
+``parents``, ``children`` and ``end``, and fill its text with their signs.
 """
 
 from __future__ import annotations
@@ -102,13 +103,15 @@ class PlaneTree:
             raise ValueError("a plane tree has at least one vertex")
         if len(self.parents) != n:
             raise ValueError("labels and parents must have equal length")
-        if any(l not in (POSITIVE, NEGATIVE) for l in self.labels):
-            raise ValueError("labels must be +1 or -1")
+        if not set(map(type, self.labels)) <= {int} or not set(self.labels) <= {POSITIVE, NEGATIVE}:
+            raise ValueError("labels must be the ints +1 or -1")
         if self.parents[0] is not None:
             raise ValueError("vertex 0 is the root and has no parent")
         path = [0]  # from the root to the previous vertex
         for v in range(1, n):
             p = self.parents[v]
+            if type(p) is not int:  # 0.0 or True would pass the path test below
+                raise ValueError(f"the parent of vertex {v} must be an int, got {p!r}")
             while path and path[-1] != p:
                 path.pop()
             if not path:
@@ -143,20 +146,18 @@ class PlaneTree:
         return "".join(out)
 
     @cached_property
-    def traversal(self) -> tuple[dict[int, list[int]], list[int]]:
-        """``(signed, end)``, read by the embedding DP.
-
-        ``signed[s]`` lists the vertices of sign ``s`` in ascending index
-        order, which is preorder.  ``end[v]`` is one past the last
-        descendant of ``v``, so the subtree of ``v`` is
-        ``range(v, end[v])``.  Do not modify.
-        """
-        signed = {s: [v for v, l in enumerate(self.labels) if l == s] for s in (POSITIVE, NEGATIVE)}
+    def end(self) -> tuple[int, ...]:
+        """The subtree of ``v`` is ``range(v, end[v])``; trees of one shape share it."""
         end = list(range(1, self.size + 1))
         for v in range(self.size - 1, 0, -1):  # descendants come later in preorder
             p = self.parents[v]
             end[p] = max(end[p], end[v])  # type: ignore[index]
-        return signed, end
+        return tuple(end)
+
+    @cached_property
+    def signed(self) -> dict[int, list[int]]:
+        """``signed[s]``: the vertices of sign ``s`` in preorder.  Do not modify."""
+        return {s: [v for v, l in enumerate(self.labels) if l == s] for s in (POSITIVE, NEGATIVE)}
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -268,14 +269,18 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     """Yield every signed plane tree with exactly ``n`` vertices once.
 
     The sequence is deterministic in the documented shape-major order and
-    has length ``count(n)``; its ``i``-th tree is ``unrank(n, i)``.
+    has length ``count(n)``; its ``i``-th tree is ``unrank(n, i)``.  Each
+    tree is stamped from its checked shape (see the module docstring).
     """
     for rank in range(count(n) >> n):  # Catalan(n-1) shapes
-        parents = _unrank_shape(n, rank)
-        children = PlaneTree((POSITIVE,) * n, parents).children  # shared by the shape
-        for labels in product((POSITIVE, NEGATIVE), repeat=n):
-            t = PlaneTree(labels, parents)
-            t.__dict__["children"] = children  # where the cached property keeps it
+        shape = PlaneTree((POSITIVE,) * n, _unrank_shape(n, rank))
+        parents, children, end = shape.parents, shape.children, shape.end
+        template = shape.text.replace("+", "%s")  # one slot per vertex, in preorder
+        for labels, signs in zip(product((POSITIVE, NEGATIVE), repeat=n), product("+-", repeat=n)):
+            t = object.__new__(PlaneTree)  # no __post_init__: the shape is checked
+            d = t.__dict__  # where the fields and cached properties live
+            d["labels"], d["parents"], d["children"], d["end"] = labels, parents, children, end
+            d["text"] = template % signs
             yield t
 
 

@@ -113,9 +113,15 @@ def test_invalid_constructions_rejected():
         ((1, 1, 1), (None, 2, 0)),  # a parent after its child
         ((1, 1, 1), (None, 2, 1)),  # a two-cycle apart from the root
         ((1, 1), (None, 1)),  # its own parent
+        ((1, 1), (None, 0.0)),  # a float parent, equal to 0
+        ((1.0, 1), (None, 0)),  # a float label, equal to 1
+        ((True, 1), (None, 0)),  # a bool label, equal to 1
+        ((1, 1), (None, True)),  # a bool parent, unequal to the root 0
     ]:
         with pytest.raises(ValueError):
             PlaneTree(labels, parents)
+    with pytest.raises(ValueError, match="parent of vertex 1 must be an int"):
+        PlaneTree((1, 1), (None, True))
 
 
 def test_tree_built_from_lists_equals_its_parse():
@@ -214,6 +220,43 @@ def test_enumeration_matches_count_and_is_duplicate_free():
 def test_enumerate_rejects_zero():
     with pytest.raises(ValueError):
         next(enumerate_trees(0))
+
+
+def test_enumerated_trees_equal_their_checked_twins():
+    # Enumerated trees are stamped from their shape, with no constructor
+    # check; each must equal the tree the checked constructor builds,
+    # whose text, children and end are computed afresh.
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            u = PlaneTree(t.labels, t.parents)
+            assert u == t and hash(u) == hash(t)
+            assert (t.text, t.children, t.end) == (u.text, u.children, u.end)
+            assert t.signed == u.signed
+
+
+@settings(deadline=None)
+@given(plane_trees())
+def test_end_is_one_past_the_last_descendant(t):
+    descendants = [0] * t.size
+    for w in range(t.size):
+        v = w
+        while v is not None:
+            descendants[v] += 1
+            v = t.parents[v]
+    assert t.end == tuple(v + d for v, d in enumerate(descendants))
+
+
+def test_enumeration_checks_each_shape_once(monkeypatch):
+    calls = []
+    check = PlaneTree.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(PlaneTree, "__post_init__", counted)
+    assert len(list(enumerate_trees(6))) == 2688
+    assert len(calls) == 42  # Catalan(5): one per shape, not one per tree
 
 
 def test_unrank_agrees_with_enumeration():
