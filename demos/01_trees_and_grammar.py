@@ -10,13 +10,12 @@ from hopfarb import (
     parse,
     random_tree,
     strip_root,
-    to_text,
 )
 
 # A tree text is a sign, optionally followed by a parenthesized list of
 # children.  Whitespace is free; the canonical form has none.
 t = parse(" + ( + , - ( + ) ) ")
-print("canonical text:", to_text(t))
+print("canonical text:", t.text)
 print("vertices:", t.size, "labels:", t.labels)
 print("children lists:", t.children)
 

@@ -11,7 +11,10 @@ subtrees of each image in the order of the corresponding children.
 Two deciders are provided: a polynomial dynamic program (`embeds`, with
 certificate extraction via `embed_witness`) and a brute-force closure
 search over the reduction operations (`oracle_embeds`), kept independent
-so each can cross-validate the other.
+so each can cross-validate the other.  `verify_witness` checks a
+certificate from scratch: a strictly descending path between two
+vertices is unique, so each edge path must be the walk up ``T2.parents``
+from the child's image to its parent's image, read downwards.
 
 The program keeps, per vertex ``u`` of ``T1``, the ascending list of the
 vertices of ``T2`` that host ``u``, from ``T2.signed``.  In preorder the
@@ -145,44 +148,36 @@ def embed_witness(t1: PlaneTree, t2: PlaneTree) -> EmbeddingWitness | None:
 
 
 def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
-    """Check every witness invariant for the pair ``(t1, t2)`` from scratch."""
-    n1, n2 = t1.size, t2.size
-    vmap = w.vertex_map
-    if len(vmap) != n1 or len(set(vmap)) != n1 or len(w.edge_paths) != n1 - 1:
-        return False
-    if any(not 0 <= v < n2 or t1.labels[u] != t2.labels[v] for u, v in enumerate(vmap)):
-        return False
-    mapped = set(vmap)
-    interiors: set[int] = set()
-    first_step: dict[int, int] = {}
-    for c, path in zip(range(1, n1), w.edge_paths):  # every vertex but the root
-        u = t1.parents[c]
-        if len(path) < 2 or path[0] != vmap[u] or path[-1] != vmap[c]:
-            return False
-        for a, b in zip(path, path[1:]):
-            if not 0 <= b < n2 or t2.parents[b] != a:
-                return False  # not a vertex of t2, or not a strictly descending step
-        inner = set(path[1:-1])
-        if len(inner) != len(path) - 2:
-            return False
-        if inner & mapped or inner & interiors:
-            return False
-        interiors |= inner
-        first_step[c] = path[1]
+    """Check every witness invariant for the pair ``(t1, t2)`` from scratch.
 
-    # Plane order: at each mapped vertex the entered children subtrees of
-    # the image must appear in the order of the corresponding children.
-    # The descending-step check above already forces each first step to be
-    # a child of the image vertex.
-    for u in range(n1):
-        kids = t1.children[u]
-        if len(kids) < 2:
-            continue
-        positions = {d: i for i, d in enumerate(t2.children[vmap[u]])}
-        entry = [positions[first_step[c]] for c in kids]
-        if any(a >= b for a, b in zip(entry, entry[1:])):
+    Images are distinct vertices of ``t2`` with their preimages' signs.
+    The path into ``c`` must be the walk up ``t2.parents`` from the image
+    of ``c`` to its parent's image, read downwards; a walk that reaches
+    the root first fails.  Path interiors avoid the images and each
+    other, and the first steps of siblings ascend.  A path entry that is
+    no vertex gives ``False``, not an error.
+    """
+    n1, vmap = t1.size, w.vertex_map
+    used = set(vmap)  # images, then path interiors
+    if len(vmap) != n1 or len(used) != n1 or len(w.edge_paths) != n1 - 1:
+        return False
+    if any(v not in range(t2.size) or t1.labels[u] != t2.labels[v] for u, v in enumerate(vmap)):
+        return False
+    first_step = [0] * n1
+    for c, path in zip(range(1, n1), w.edge_paths):  # every vertex but the root
+        top, walk = vmap[t1.parents[c]], [vmap[c]]
+        while walk[-1] != top:
+            if walk[-1] == t2.root:
+                return False  # the parent's image is not an ancestor
+            walk.append(t2.parents[walk[-1]])
+        walk.reverse()
+        if list(path) != walk or used.intersection(walk[1:-1]):
             return False
-    return True
+        used.update(walk[1:-1])
+        first_step[c] = walk[1]
+    # Each first step is a child of the parent's image, and children are
+    # in index order: the plane order compares the steps themselves.
+    return all(first_step[a] < first_step[b] for ks in t1.children for a, b in zip(ks, ks[1:]))
 
 
 # ---------------------------------------------------------------------------

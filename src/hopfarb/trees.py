@@ -43,7 +43,6 @@ __all__ = [
     "PlaneTree",
     "TreeSyntaxError",
     "parse",
-    "to_text",
     "enumerate_trees",
     "count",
     "unrank",
@@ -51,7 +50,6 @@ __all__ = [
     "strip_root",
     "contract_path",
     "reductions",
-    "equal",
     "random_tree",
     "tree_to_json_obj",
     "tree_from_json_obj",
@@ -159,9 +157,6 @@ class PlaneTree:
         """``signed[s]``: the vertices of sign ``s`` in preorder.  Do not modify."""
         return {s: [v for v, l in enumerate(self.labels) if l == s] for s in (POSITIVE, NEGATIVE)}
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
-
     def __repr__(self):
         return f"PlaneTree({self.text!r})"
 
@@ -202,16 +197,6 @@ def parse(text: str) -> PlaneTree:
     t = PlaneTree(tuple(labels), tuple(parents))
     t.__dict__["text"] = "".join(text.split())  # where the cached property keeps it
     return t
-
-
-def to_text(t: PlaneTree) -> str:
-    """Canonical text of ``t``; ``parse(to_text(t)) == t``."""
-    return t.text
-
-
-def equal(t1: PlaneTree, t2: PlaneTree) -> bool:
-    """Labelled plane isomorphism: both trees are numbered in preorder, so ``==``."""
-    return t1 == t2
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +367,7 @@ def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
 
 def _reduction_texts(t: PlaneTree) -> Iterator[str]:
     # Canonical texts of the reductions of ``t``, in the order of `reductions`.
-    removable = [v for v in range(t.size) if t.is_leaf(v)] if t.size > 1 else []
+    removable = [v for v in range(t.size) if not t.children[v]] if t.size > 1 else []
     if len(t.children[t.root]) == 1:
         removable.append(t.root)
     removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]

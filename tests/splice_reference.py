@@ -41,7 +41,7 @@ def path_interior(t, u, w):
 
 def reductions(t):
     """One-vertex reductions of ``t``: leaves by index, the root, then unary children."""
-    removable = [v for v in range(t.size) if t.is_leaf(v)] if t.size > 1 else []
+    removable = [v for v in range(t.size) if not t.children[v]] if t.size > 1 else []
     if len(t.children[t.root]) == 1:
         removable.append(t.root)
     removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]

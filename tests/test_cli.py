@@ -52,6 +52,22 @@ def test_bad_tree_is_domain_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inv", "--file", "{tmp}/missing.txt"],
+        ["inv", "--file", "{tmp}"],  # a directory
+        ["poset", "--max-size", "2", "--dot", "{tmp}/missing/h.dot"],
+    ],
+)
+def test_os_error_is_domain_error(tmp_path, capsys, argv):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["parse"]) == 2  # missing input
     assert run(["frobnicate"]) == 2  # unknown verb

@@ -124,6 +124,31 @@ def test_verify_witness_rejects_shared_interior():
     assert not verify_witness(t1, t2, w)
 
 
+def test_verify_witness_rejects_every_single_entry_path_change(u4):
+    # An edge path is the one descending path between two images, so any
+    # change of one entry fails, and an entry that is no vertex gives False.
+    for t1 in u4.trees:
+        for t2 in u4.trees:
+            if not embeds(t1, t2):
+                continue
+            w = embed_witness(t1, t2)
+            assert verify_witness(t1, t2, w)
+            for k, path in enumerate(w.edge_paths):
+                changed = [path[:i] + path[i + 1 :] for i in range(len(path))]  # dropped
+                changed += [
+                    path[:i] + (x,) + path[i + 1 :]
+                    for i in range(len(path))
+                    for x in (*range(-1, t2.size + 1), "x")
+                    if x != path[i]
+                ]
+                changed += [
+                    path[:i] + (x,) + path[i:] for i in range(len(path) + 1) for x in range(t2.size)
+                ]
+                for bad in changed:
+                    paths = w.edge_paths[:k] + (bad,) + w.edge_paths[k + 1 :]
+                    assert verify_witness(t1, t2, EmbeddingWitness(w.vertex_map, paths)) is False
+
+
 def test_witness_coupling_and_soundness(u4, u5):
     # embeds is true exactly when a witness exists, and every produced
     # witness passes independent verification.
@@ -349,7 +374,7 @@ def test_single_reductions_embed_back(u4):
     for t in u4.trees:
         results = []
         for v in range(t.size):
-            if t.is_leaf(v) and t.size > 1:
+            if not t.children[v] and t.size > 1:
                 results.append(delete_leaf(t, v))
         if len(t.children[t.root]) == 1:
             results.append(strip_root(t))

@@ -120,6 +120,9 @@ def test_seifert_matrix_dimension_is_betti(u4):
 
 
 def test_seifert_matrix_validation():
+    for entries in ((), ((1, 0),)):  # empty, and a row wider than the matrix is tall
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            SeifertMatrix(entries)
     with pytest.raises(ValueError):
         SeifertMatrix(((0,),))  # diagonal must be +-1
     with pytest.raises(ValueError):
@@ -169,6 +172,9 @@ def test_laurent_str_descending():
     assert str(LaurentPolynomial(1, (1,))) == "t"
     assert str(LaurentPolynomial(-1, (1, 1))) == "1 + t^-1"
     assert str(LaurentPolynomial(0, ())) == "0"
+    # An inner zero coefficient prints no term.
+    assert str(LaurentPolynomial(0, (1, 0, 1))) == "t^2 + 1"
+    assert str(LaurentPolynomial(-1, (1, 0, -1))) == "-t + t^-1"
 
 
 def test_laurent_evaluate():

@@ -13,12 +13,10 @@ from hopfarb.trees import (
     count,
     delete_leaf,
     enumerate_trees,
-    equal,
     parse,
     random_tree,
     reductions,
     strip_root,
-    to_text,
     tree_from_json_obj,
     tree_to_json_obj,
     unrank,
@@ -84,22 +82,22 @@ def test_parse_errors_carry_offset(text, offset, message):
     assert str(exc.value) == f"syntax error at offset {offset}: {message}"
 
 
-def test_to_text_examples():
-    assert to_text(parse("+")) == "+"
-    assert to_text(parse("-(+)")) == "-(+)"
-    assert to_text(parse(" + ( + , - ( + ) ) ")) == "+(+,-(+))"
+def test_text_examples():
+    assert parse("+").text == "+"
+    assert parse("-(+)").text == "-(+)"
+    assert parse(" + ( + , - ( + ) ) ").text == "+(+,-(+))"
 
 
 def test_round_trip_exhaustive_up_to_6():
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            assert parse(to_text(t)) == t
+            assert parse(t.text) == t
 
 
-def test_equal_is_plane_isomorphism():
-    assert equal(parse("+(+,-)"), parse("+(+,-)"))
-    assert not equal(parse("+(+,-)"), parse("+(-,+)"))
-    assert not equal(parse("+"), parse("-"))
+def test_equality_is_plane_isomorphism():
+    assert parse("+(+,-)") == parse("+(+,-)")
+    assert parse("+(+,-)") != parse("+(-,+)")
+    assert parse("+") != parse("-")
 
 
 def test_invalid_constructions_rejected():
@@ -397,7 +395,7 @@ def test_reductions_shrink_and_stay_valid(u4):
     # only need the size bookkeeping.
     for t in u4.trees:
         for v in range(t.size):
-            if t.is_leaf(v) and t.size > 1:
+            if not t.children[v] and t.size > 1:
                 assert delete_leaf(t, v).size == t.size - 1
         if len(t.children[t.root]) == 1:
             assert strip_root(t).size == t.size - 1
@@ -435,7 +433,7 @@ def test_reductions_match_structural_reference_up_to_7():
 def test_reduction_operations_match_structural_reference(t):
     assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
     for v in range(t.size):
-        if t.is_leaf(v) and t.size > 1:
+        if not t.children[v] and t.size > 1:
             assert delete_leaf(t, v).text == splice(t, {v}).text
     if len(t.children[t.root]) == 1:
         assert strip_root(t).text == splice(t, {t.root}).text
