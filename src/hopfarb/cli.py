@@ -22,7 +22,7 @@ from .trees import (
     enumerate_trees,
     parse,
     random_tree,
-    tree_to_json_obj,
+    tree_to_json,
 )
 
 
@@ -133,14 +133,7 @@ def _fingerprint_text(fp) -> str:
 def _dispatch(args) -> int:
     if args.verb == "parse":
         for t in _input_trees(args):
-            if args.format == "json":
-                try:
-                    line = json.dumps(tree_to_json_obj(t), separators=(",", ":"))
-                except RecursionError:  # json.dumps recurses once per tree level
-                    raise ValueError("tree too deep for JSON output") from None
-                print(line)
-            else:
-                print(t.text)
+            print(tree_to_json(t) if args.format == "json" else t.text)
     elif args.verb == "enum":
         limit = args.limit
         for i, t in enumerate(enumerate_trees(args.size)):
@@ -206,16 +199,10 @@ _TREE_OPTS = ("--tree", "--sub", "--super")
 def _merge_tree_values(argv: list[str]) -> list[str]:
     # Tree texts may start with '-', which argparse would read as an
     # option; fold the value into '--opt=value' form ahead of parsing.
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _TREE_OPTS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, rest = [], iter(argv)
+    for tok in rest:
+        value = next(rest, None) if tok in _TREE_OPTS else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 

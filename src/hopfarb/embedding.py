@@ -154,10 +154,12 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
     The path into ``c`` must be the walk up ``t2.parents`` from the image
     of ``c`` to its parent's image, read downwards; a walk that reaches
     the root first fails.  Path interiors avoid the images and each
-    other, and the first steps of siblings ascend.  A path entry that is
-    no vertex gives ``False``, not an error.
+    other, and the first steps of siblings ascend.  An entry that is no
+    vertex, or not exactly an ``int`` (``True``, ``1.0``), gives ``False``.
     """
     n1, vmap = t1.size, w.vertex_map
+    if any(type(x) is not int for seq in (vmap, *w.edge_paths) for x in seq):
+        return False
     used = set(vmap)  # images, then path interiors
     if len(vmap) != n1 or len(used) != n1 or len(w.edge_paths) != n1 - 1:
         return False

@@ -28,6 +28,9 @@ O(n)-bit integers (O(n^2) bit operations: its first tree takes about
 0.1 s at n = 10^4 and 10 s at n = 10^5 on a shared 2-core host).  It
 stamps the shape's 2^n trees from that one, unchecked: they share its
 ``parents``, ``children`` and ``end``, and fill its text with their signs.
+:func:`tree_to_json` writes JSON text in one pass over the canonical text,
+at any depth; reading it back goes through ``json.loads`` (which recurses
+per tree level, to about 500) and then :func:`tree_from_json_obj`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ __all__ = [
     "contract_path",
     "reductions",
     "random_tree",
-    "tree_to_json_obj",
+    "tree_to_json",
     "tree_from_json_obj",
 ]
 
@@ -219,8 +222,10 @@ def count(n: int) -> int:
     """Number of signed plane trees with ``n`` vertices: 2^n * Catalan(n-1)."""
     if n < 1:
         raise ValueError("tree size must be >= 1")
-    c = comb(2 * (n - 1), n - 1) // n  # Catalan(n-1)
-    return (1 << n) * c
+    try:
+        return comb(2 * (n - 1), n - 1) // n << n  # Catalan(n-1) * 2^n
+    except OverflowError as exc:  # comb refuses n - 1 > sys.maxsize
+        raise ValueError(f"tree size {n} is too large") from exc
 
 
 def _unrank_shape(n: int, rank: int) -> tuple[int | None, ...]:
@@ -389,14 +394,17 @@ def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
 
 # ---------------------------------------------------------------------------
 # JSON form: {"label": "+"|"-", "children": [...]} nested to the tree's depth.
+# A sign opens an object and its children, ')' and ',' close a child, '(' writes nothing.
 # ---------------------------------------------------------------------------
 
+_JSON = str.maketrans(
+    {s: f'{{"label":"{s}","children":[' for s in "+-"} | {"(": "", ")": "]}", ",": "]},"}
+)
 
-def tree_to_json_obj(t: PlaneTree) -> dict:
-    nodes = [{"label": _SIGN_CHAR[s], "children": []} for s in t.labels]
-    for v in range(1, t.size):
-        nodes[t.parents[v]]["children"].append(nodes[v])  # type: ignore[index]
-    return nodes[t.root]
+
+def tree_to_json(t: PlaneTree) -> str:
+    """The tree as compact JSON text, written from its canonical text in one pass."""
+    return t.text.translate(_JSON) + "]}"  # the root's close
 
 
 def tree_from_json_obj(obj: dict) -> PlaneTree:

@@ -99,6 +99,24 @@ def test_count_domain_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "99999999999999999999999"],
+        ["enum", "--size", str(10**20), "--limit", "1"],
+        ["random", "--size", str(10**20), "--seed", "1"],
+        ["classes", "--size", str(10**20)],
+    ],
+)
+def test_size_beyond_comb_is_domain_error(capsys, argv):
+    # math.comb overflows for n - 1 > sys.maxsize; count reports the size.
+    assert run(argv) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_enum_with_limit(capsys):
     assert run(["enum", "--size", "2"]) == 0
     out, _ = out_of(capsys)
@@ -130,11 +148,11 @@ def test_parse_deep_tree_file(tmp_path, capsys):
     assert run(["parse", "--file", str(f)]) == 0
     out, _ = out_of(capsys)
     assert out == text + "\n"
-    # The nested JSON form is deeper than json.dumps can go.
-    assert run(["parse", "--file", str(f), "--format", "json"]) == 1
+    # Deeper than json.dumps of the nested dicts can go; the text writer has no limit.
+    assert run(["parse", "--file", str(f), "--format", "json"]) == 0
     out, err = out_of(capsys)
-    assert out == ""
-    assert err == "error: tree too deep for JSON output\n"
+    assert out == '{"label":"+","children":[' * 1201 + "]}" * 1201 + "\n"
+    assert err == ""
 
 
 def test_inv_json_matches_schema(capsys):
@@ -396,9 +414,10 @@ def test_embed_exit_contract(sub, sup, witness):
     _run_captured(["embed", "--sub", sub, "--super", sup] + ["--witness"] * witness)
 
 
-# Sizes up to 10**4 keep each run under about a second; larger ones are
-# not rejected, they only take longer.
-sizes = st.integers(-(10**30), 0) | st.integers(1, 10**4)
+# Sizes up to 10**4 keep each run under about a second; larger ones up to
+# 2**63 are not rejected, they only take longer, and beyond that count
+# refuses them.
+sizes = st.integers(-(10**30), 0) | st.integers(1, 10**4) | st.integers(2**64, 10**30)
 
 
 @settings(deadline=None, max_examples=40)

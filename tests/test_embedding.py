@@ -111,6 +111,14 @@ def test_verify_witness_rejects_bad_paths():
     assert not verify_witness(t1, t3, EmbeddingWitness((0, 2), ((0, -2, 2),)))
 
 
+def test_verify_witness_refuses_entries_that_are_not_ints():
+    # 1.0 and True compare equal to vertex 1 but are no vertex: False, not an error.
+    t = parse("+(+)")
+    assert verify_witness(t, t, EmbeddingWitness((0, 1.0), ((0, 1),))) is False
+    assert verify_witness(t, t, EmbeddingWitness((0, 1), ((0, 1.0),))) is False
+    assert verify_witness(t, t, EmbeddingWitness((0, True), ((0, 1),))) is False
+
+
 def test_verify_witness_rejects_order_violation():
     t1, t2 = parse("+(+,-)"), parse("+(-,+)")
     w = EmbeddingWitness((0, 2, 1), ((0, 2), (0, 1)))

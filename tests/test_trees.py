@@ -18,9 +18,10 @@ from hopfarb.trees import (
     reductions,
     strip_root,
     tree_from_json_obj,
-    tree_to_json_obj,
+    tree_to_json,
     unrank,
 )
+from json_reference import tree_to_json_obj, tree_to_json_text
 from splice_reference import path_interior, splice
 from splice_reference import reductions as reference_reductions
 from strategies import plane_trees
@@ -173,7 +174,8 @@ def test_parse_inverts_text(t):
 @settings(deadline=None)
 @given(plane_trees())
 def test_json_round_trip_property(t):
-    assert tree_from_json_obj(json.loads(json.dumps(tree_to_json_obj(t)))) == t
+    assert tree_to_json(t) == tree_to_json_text(t)
+    assert tree_from_json_obj(json.loads(tree_to_json(t))) == t
 
 
 @settings(deadline=None)
@@ -445,8 +447,10 @@ def test_reduction_operations_match_structural_reference(t):
 
 
 def test_deep_and_wide_trees():
-    # No recursion limit: a 10^5-deep path and a 10^5-leaf star, with the
-    # JSON form checked as dicts since json.dumps itself recurses.
+    # No recursion limit: a 10^5-deep path and a 10^5-leaf star.  Their
+    # JSON text is checked against its closed form, and the reader gets
+    # the reference's dicts, since json.loads itself recurses.
+    leaf = '{"label":"-","children":[]}'
     n = 100_000
     path_text = "+(" * (n - 1) + "-" + ")" * (n - 1)
     path = parse(path_text)
@@ -454,6 +458,7 @@ def test_deep_and_wide_trees():
     assert delete_leaf(path, n - 1).text == "+(" * (n - 2) + "+" + ")" * (n - 2)
     assert strip_root(path).text == path_text[2:-1]
     assert contract_path(path, 0, n - 1).text == "+(-)"
+    assert tree_to_json(path) == '{"label":"+","children":[' * (n - 1) + leaf + "]}" * (n - 1)
     assert tree_from_json_obj(tree_to_json_obj(path)) == path
 
     star_text = "+(" + ",".join("-" * (n - 1)) + ")"
@@ -463,6 +468,7 @@ def test_deep_and_wide_trees():
     assert contract_path(star, 0, 1) == star
     with pytest.raises(ValueError):
         strip_root(star)
+    assert tree_to_json(star) == '{"label":"+","children":[' + ",".join([leaf] * (n - 1)) + "]}"
     assert tree_from_json_obj(tree_to_json_obj(star)) == star
 
 
@@ -471,7 +477,7 @@ def test_deep_and_wide_trees():
 
 def test_json_round_trip():
     t = parse("+(-,+(-))")
-    obj = tree_to_json_obj(t)
+    obj = json.loads(tree_to_json(t))
     assert obj == {
         "label": "+",
         "children": [
@@ -479,7 +485,14 @@ def test_json_round_trip():
             {"label": "+", "children": [{"label": "-", "children": []}]},
         ],
     }
-    assert tree_from_json_obj(json.loads(json.dumps(obj))) == t
+    assert tree_from_json_obj(obj) == t
+
+
+def test_json_text_matches_reference_for_every_tree_up_to_size_7():
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    assert len(trees) == 20_134
+    for t in trees:
+        assert tree_to_json(t) == tree_to_json_text(t)
 
 
 def test_json_rejects_bad_label():
