@@ -26,8 +26,8 @@ From the matrix V everything else is classical and computed exactly:
 No floating point is used anywhere, and every invariant reads the tree:
 genus, boundary count, signature, nullity and determinant are linear
 passes over its preorder ``labels`` and ``parents`` (a greedy matching
-from the leaves up, and Jacobs-Trevisan diagonalization over exact
-rationals, whose diagonal multiplies to ``+-det(V + V^T)``).  Only the
+from the leaves up, and Jacobs-Trevisan diagonalization as one fold of
+integer pairs, whose root numerator is ``+-det(V + V^T)``).  Only the
 Alexander polynomial is dense: fraction-free integer determinants of
 ``V - k V^T``, written from the tree, at k = 0..n, then interpolation
 over the integers; ``Fingerprint`` checks its value at -1 against the
@@ -37,7 +37,6 @@ fingerprint of the tree it is supported on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,7 +204,7 @@ class Fingerprint:
 
 
 def _det_int(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    """Bareiss (fraction-free) determinant of an integer matrix."""
     a = [row[:] for row in rows]
     n = len(a)
     sign = 1
@@ -304,30 +303,30 @@ def _seifert_rows(t: PlaneTree, k: int) -> list[list[int]]:
 def _symmetric_invariants(t: PlaneTree) -> tuple[int, int, int]:
     """Signature, nullity and |det| of ``V + V^T``, congruent to ``2E + A(T)``.
 
-    Jacobs-Trevisan diagonalization: each vertex starts at twice its sign
-    and takes ``-1/a(c)`` from every live child ``c``; a vertex with a zero
-    child instead sets that child to 2, itself to -1/2, and is cut from its
-    parent.  The edge units only enter squared, so their signs and slots
-    do not matter.  Every step keeps the determinant, so the diagonal's product,
-    taken children first (an integer at each step), is ``+-det(V + V^T)``.
+    Jacobs-Trevisan diagonalization over the integers: ``a(v)`` is
+    ``num[v] / den[v]``, at first twice the sign of v, and folding a child
+    ``c`` into its parent subtracts ``1/a(c)``.  A zero child gives its
+    parent den 0, an infinite value: that is the reset, where child and
+    parent split off as a 2x2 block with one positive and one negative
+    eigenvalue, so each infinite vertex counts once as each.  Folding an
+    infinite child scales num and den alike, so its parent's value stays:
+    that is the cut.  Each fold keeps the determinant and each den is the
+    product of the nums folded into it, so ``|num[root]| = |det(V + V^T)|``
+    when the nullity is 0.  Edge units enter squared, so their signs and
+    slots do not matter.  Away from zeros, num and den are the weighted
+    matching sums of v's subtree (vertex weight ``2 eps_v``, edge weight
+    -1) over all matchings and over those leaving v unmatched.
     """
-    a = [Fraction(2 * s) for s in t.labels]
-    zero_child: list[int | None] = [None] * t.size
-    for v in range(t.size - 1, -1, -1):
-        c = zero_child[v]
-        if c is not None:
-            a[c], a[v] = Fraction(2), Fraction(-1, 2)
-            continue
+    num, den = [2 * s for s in t.labels], [1] * t.size
+    for v in range(t.size - 1, 0, -1):  # children before parents
         p = t.parents[v]
-        if p is None:
-            continue
-        if a[v]:
-            a[p] -= 1 / a[v]
-        else:
-            zero_child[p] = v
-    pos = sum(x > 0 for x in a)
-    neg = sum(x < 0 for x in a)
-    return pos - neg, len(a) - pos - neg, abs(int(math.prod(reversed(a))))
+        if num[v] or den[p]:  # a second zero child of p stays zero
+            num[p], den[p] = num[p] * num[v] - den[p] * den[v], den[p] * num[v]
+    inf = den.count(0)
+    signs = [(x > 0) == (y > 0) for x, y in zip(num, den) if x and y]
+    pos, neg = signs.count(True) + inf, signs.count(False) + inf
+    nul = t.size - pos - neg
+    return pos - neg, nul, 0 if nul else abs(num[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import random
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_invariants, rank_int, skew_part, sym_part
+from dense_reference import dense_invariants, rank_int, signature_nullity, skew_part, sym_part
+from jacobs_trevisan_reference import symmetric_invariants as jacobs_trevisan
 from hopfarb import invariants
 from hopfarb.embedding import embeds
 from hopfarb.invariants import (
@@ -27,6 +28,7 @@ from hopfarb.invariants import (
     top_defect_upper_bound,
 )
 from hopfarb.trees import enumerate_trees, parse, random_tree
+from strategies import plane_trees, zero_grafted_trees
 
 
 # --- independent oracles -----------------------------------------------------
@@ -326,6 +328,46 @@ def test_fingerprint_checks_determinant_against_alexander(monkeypatch):
         fingerprint(parse("+(+)"))
 
 
+def test_fold_matches_jacobs_trevisan_walk_up_to_size_7():
+    every = chain.from_iterable(map(enumerate_trees, range(1, 8)))
+    for t in chain(every, map(parse, CUT_BELOW_ROOT)):
+        assert invariants._symmetric_invariants(t) == jacobs_trevisan(t), t.text
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("-(+(+,+,+,+),+(+,+,+,+))", (8, 1, 0)),  # the root has two zero children
+        ("+(+(+,+,+,+),+(+,+,+,+),+(+,+,+,+))", (12, 2, 0)),  # three zero children
+        ("+(+(+(+,+,+,+),+(+,+,+,+)))", (9, 1, 0)),  # two, below the root
+        ("+(+(+,+,+,+))", (4, 0, 16)),  # the root is infinite
+        ("+(+(+,+,+))", (4, 1, 0)),  # the root is zero
+    ],
+)
+def test_fold_on_zero_children(text, expected):
+    t = parse(text)
+    assert invariants._symmetric_invariants(t) == expected == jacobs_trevisan(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_trees(max_size=30))
+def test_fold_matches_jacobs_trevisan_walk(t):
+    assert invariants._symmetric_invariants(t) == jacobs_trevisan(t), t.text
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_grafted_trees())
+def test_fold_matches_references_on_zero_grafted_trees(t):
+    # Here a vertex may have several zero children; only the first resets
+    # it, and the others stay zero.
+    got = invariants._symmetric_invariants(t)
+    assert got == jacobs_trevisan(t), t.text
+    if t.size <= 25:
+        sym = sym_part(seifert_matrix(t))
+        assert got[:2] == signature_nullity(sym), t.text
+        assert got[2] == abs(invariants._det_int(sym)), t.text
+
+
 def test_tree_passes_match_dense_reference(u6):
     for t in [*u6.trees, *map(parse, CUT_BELOW_ROOT)]:
         got = (boundary_components(t), genus(t), signature(t), nullity(t))
@@ -373,6 +415,13 @@ def test_tree_passes_on_10_4_vertices(monkeypatch):
     assert g == tree_matching_number(big)
     assert boundary_components(big) == n - 2 * g + 1
     assert abs(sig) + nul <= n and (sig + nul - n) % 2 == 0
+    # 10^5 vertices: the path through the public functions, and one pass
+    # over a star whose centre, as above, is zero.
+    n = 10**5
+    positive = _path("+" * n)
+    assert (signature(positive), nullity(positive), determinant(positive)) == (n, 0, n + 1)
+    star = parse("+(" + ",".join(["+"] * 50002 + ["-"] * 49998) + ")")
+    assert invariants._symmetric_invariants(star) == (4, 1, 0)
 
 
 def test_genus_identity_universe_8():
