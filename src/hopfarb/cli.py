@@ -4,7 +4,8 @@ Every verb maps onto one library operation and writes machine-stable
 output: identical argument vectors (including seeds) produce
 byte-identical stdout.  ``--jobs`` is still accepted and has no effect.
 Domain failures (bad tree text, exceeded guards) exit 1 with a one-line
-diagnostic on stderr; usage errors exit 2.
+diagnostic on stderr; usage errors exit 2.  The size guards are this
+module's policy: the library computes whatever bound it is given.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .trees import (
     random_tree,
     tree_to_json,
 )
+
+DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
+DEFAULT_ORACLE_GUARD = 8  # largest host, in vertices, of oracle-embed
 
 
 def _limit(text: str) -> int:
@@ -115,6 +119,11 @@ def _guard(args, default: int) -> int:
     return args.guard
 
 
+def _check_universe(nmax: int, guard: int) -> None:
+    if nmax > guard:
+        raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {guard}")
+
+
 def _write_output(path: str, content: str) -> None:
     if path == "-":
         sys.stdout.write(content)
@@ -160,13 +169,16 @@ def _dispatch(args) -> int:
             print("true" if embedding.embeds(sub, sup) else "false")
     elif args.verb == "oracle-embed":
         sub, sup = parse(args.sub), parse(args.sup)
-        guard = _guard(args, embedding.DEFAULT_ORACLE_GUARD)
-        print("true" if embedding.oracle_embeds(sub, sup, max_size=guard) else "false")
+        guard = _guard(args, DEFAULT_ORACLE_GUARD)
+        if sup.size > guard:
+            raise ValueError(
+                f"operation-closure guard exceeded: tree has {sup.size} vertices, guard is {guard}"
+            )
+        print("true" if embedding.oracle_embeds(sub, sup) else "false")
     elif args.verb == "poset":
-        guard = _guard(args, minors.DEFAULT_POSET_GUARD)
-        minors.check_guard(args.max_size, guard)
+        _check_universe(args.max_size, _guard(args, DEFAULT_POSET_GUARD))
         u = minors.universe(args.max_size)
-        report = minors.poset(u, max_nmax=guard)
+        report = minors.poset(u)
         if args.dot:
             _write_output(args.dot, minors.poset_to_dot(u, report))
         if args.csv:
@@ -174,13 +186,14 @@ def _dispatch(args) -> int:
         if not args.dot and not args.csv:
             print(json.dumps(report.stats, sort_keys=True))
     elif args.verb == "mine":
-        guard = _guard(args, minors.DEFAULT_POSET_GUARD)
+        guard = _guard(args, DEFAULT_POSET_GUARD)  # logs an override before a predicate error
         pred = minors.Predicate.parse(args.predicate)
-        for t in minors.minimal_excluded(pred, args.max_size, max_nmax=guard):
+        _check_universe(args.max_size, guard)
+        for t in minors.minimal_excluded(pred, args.max_size):
             print(t.text)
     elif args.verb == "audit":
-        guard = _guard(args, minors.DEFAULT_POSET_GUARD)
-        violations = minors.audit_monotone(args.quantity, args.max_size, max_nmax=guard)
+        _check_universe(args.max_size, _guard(args, DEFAULT_POSET_GUARD))
+        violations = minors.audit_monotone(args.quantity, args.max_size)
         trees = minors.universe(args.max_size).trees if violations else ()
         for i, j in violations:
             print(f"{trees[i].text}\t{trees[j].text}")

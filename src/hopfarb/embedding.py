@@ -38,10 +38,7 @@ __all__ = [
     "verify_witness",
     "oracle_embeds",
     "operation_closure",
-    "DEFAULT_ORACLE_GUARD",
 ]
-
-DEFAULT_ORACLE_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -187,18 +184,13 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def operation_closure(t: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> frozenset[str]:
+def operation_closure(t: PlaneTree) -> frozenset[str]:
     """Canonical texts of every tree reachable from ``t`` by the reductions.
 
-    ``t`` itself is included (the empty sequence of operations).  The
-    guard bounds the search seed: closures are only explored for trees
-    with at most ``max_size`` vertices.
+    ``t`` itself is included (the empty sequence of operations).  These
+    are all the trees that embed into ``t``, exponentially many in
+    ``t.size`` in general, so keep ``t`` small.
     """
-    if t.size > max_size:
-        raise ValueError(
-            f"operation-closure guard exceeded: tree has {t.size} vertices, "
-            f"guard is {max_size}"
-        )
     seen = {t.text}
     frontier = [t]
     while frontier:
@@ -209,6 +201,6 @@ def operation_closure(t: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> fro
     return frozenset(seen)
 
 
-def oracle_embeds(t1: PlaneTree, t2: PlaneTree, max_size: int = DEFAULT_ORACLE_GUARD) -> bool:
+def oracle_embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
     """Decide embedding by exhaustive reachability; exponential, small inputs only."""
-    return t1.text in operation_closure(t2, max_size)
+    return t1.text in operation_closure(t2)

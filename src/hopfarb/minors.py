@@ -15,8 +15,8 @@ The order is generated by the one-vertex reductions of
 walk over the enumeration (larger trees first) keeps two bitset rows per
 tree, the trees covering it and its strict up-set, so reading the set
 bits row by row gives both pair lists in output order.  The relation
-table still grows quadratically with the universe, hence the size guard
-(default 6, about 3.2k trees).  Mining needs no relation table and holds
+table still grows quadratically with the universe, so callers pick the
+bound (6: about 3.2k trees).  Mining needs no relation table and holds
 no universe: it enumerates one size at a time, and tests each violator
 with the embedding DP against the minimal violators of smaller sizes,
 the one that matched last first.  Fingerprint classes compute each
@@ -47,14 +47,13 @@ from .invariants import (
     signature,
     top_defect_upper_bound,
 )
-from .trees import PlaneTree, _reduction_texts, count, enumerate_trees
+from .trees import PlaneTree, _reduction_texts, enumerate_trees
 
 __all__ = [
     "Universe",
     "PosetReport",
     "Predicate",
     "universe",
-    "check_guard",
     "poset",
     "evaluate",
     "check_excluded_family",
@@ -63,10 +62,7 @@ __all__ = [
     "fingerprint_classes",
     "poset_to_dot",
     "poset_to_csv",
-    "DEFAULT_POSET_GUARD",
 ]
-
-DEFAULT_POSET_GUARD = 6
 
 
 @dataclass(frozen=True)
@@ -105,12 +101,6 @@ class PosetReport:
     stats: dict
 
 
-def check_guard(nmax: int, max_nmax: int = DEFAULT_POSET_GUARD) -> None:
-    """Refuse a universe bound above the guard before any tree is built."""
-    if nmax > max_nmax:
-        raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {max_nmax}")
-
-
 def _order(u: Universe) -> tuple[list[int], list[int]]:
     """Hasse rows and strict up-sets of the trees of ``u``, by a backward walk.
 
@@ -141,13 +131,15 @@ def _pairs(rows: list[int]) -> Iterator[tuple[int, int]]:
             j = bits.find("1", j + 1)
 
 
-def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD) -> PosetReport:
+def poset(u: Universe) -> PosetReport:
     """Compute the embedding relation and its Hasse diagram over ``u``.
 
     Same-size pairs are excluded by definition (i != j and equal sizes
     force equal trees).  The Hasse pairs are the one-vertex reductions.
+    The rows grow quadratically with the universe: in process on a
+    2-core host, bound 6 (3,238 trees) takes about 0.2 s and 21 MiB,
+    bound 7 (20,134 trees) about 1 s and 86 MiB.
     """
-    check_guard(u.nmax, max_nmax)
     above, up = _order(u)
     pairs = tuple(_pairs(up))
     hasse = tuple(_pairs(above))
@@ -155,7 +147,7 @@ def poset(u: Universe, max_nmax: int = DEFAULT_POSET_GUARD) -> PosetReport:
     per_size = Counter((sizes[i], sizes[j]) for i, j in pairs)
     stats = {
         "trees": len(u.trees),
-        "trees_per_size": {k: count(k) for k in range(1, u.nmax + 1)},
+        "trees_per_size": dict(Counter(sizes)),
         "relation_pairs": len(pairs),
         "hasse_pairs": len(hasse),
         "pairs_per_size": {f"{a}->{b}": c for (a, b), c in per_size.items()},
@@ -240,9 +232,7 @@ def check_excluded_family(t: PlaneTree, family) -> bool:
     return _first_embedded(t, family) is None
 
 
-def minimal_excluded(
-    p: Predicate, nmax: int, max_nmax: int = DEFAULT_POSET_GUARD
-) -> list[PlaneTree]:
+def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     """Minimal trees violating ``p`` within the universe of size ``nmax``.
 
     A violator is minimal when every strictly smaller tree embedding into
@@ -255,15 +245,17 @@ def minimal_excluded(
     minimal violators of smaller sizes.  This holds for any predicate,
     monotone or not.  The test does not depend on their order, so the one
     that matched last moves to the front: neighbours share witnesses.
+
+    A knots-only predicate is not violated by a multi-component link, so
+    its minimal violators are knots with no violating knot below them.
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
-    check_guard(nmax, max_nmax)
     minimal: list[PlaneTree] = []
     for k in range(1, nmax + 1):
         smaller = list(minimal)
         for t in enumerate_trees(k):
-            if evaluate(p, t):
+            if (p.knots_only and boundary_components(t) != 1) or evaluate(p, t):
                 continue
             i = _first_embedded(t, smaller)
             if i is None:
@@ -276,9 +268,7 @@ def minimal_excluded(
 _QUANTITIES = {"betti": betti, "genus": genus}
 
 
-def audit_monotone(
-    quantity: str, nmax: int, max_nmax: int = DEFAULT_POSET_GUARD
-) -> list[tuple[int, int]]:
+def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     """Scan the relation over ``universe(nmax)`` for monotonicity failures.
 
     Returns the (i, j) universe index pairs where the quantity of the
@@ -286,10 +276,11 @@ def audit_monotone(
     registered quantities: an embedding realizes the smaller surface as
     an incompressible subsurface of the larger one, which cannot raise
     genus, and it injects vertices, which cannot raise the Betti number.
+    It walks the same rows as :func:`poset` but keeps no pair list: bound
+    7 takes about 0.9 s and 38 MiB in process on a 2-core host.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}")
-    check_guard(nmax, max_nmax)
     q = _QUANTITIES[quantity]
     u = universe(nmax)
     values = [q(t) for t in u.trees]

@@ -252,6 +252,32 @@ def test_guard_checked_before_enumeration(capsys, monkeypatch, argv):
     assert err == "error: poset guard exceeded: universe bound 8 > guard 6\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "--max-size", "6"],
+        ["audit", "--quantity", "genus", "--max-size", "6"],
+        ["mine", "--predicate", "all_positive", "--max-size", "6"],
+    ],
+)
+def test_lowered_guard_is_logged_then_enforced(capsys, argv):
+    assert run([*argv, "--guard", "5"]) == 1
+    assert out_of(capsys) == (
+        "",
+        "guard override: 5\nerror: poset guard exceeded: universe bound 6 > guard 5\n",
+    )
+
+
+def test_raised_guard_lets_mine_run(capsys):
+    assert run(["mine", "--predicate", "all_positive", "--max-size", "7", "--guard", "7"]) == 0
+    assert out_of(capsys) == ("-\n", "guard override: 7\n")
+
+
+def test_guard_override_is_logged_before_a_predicate_error(capsys):
+    assert run(["mine", "--predicate", "nope", "--max-size", "8", "--guard", "9"]) == 1
+    assert out_of(capsys) == ("", "guard override: 9\nerror: unknown predicate 'nope'\n")
+
+
 def test_mine(capsys):
     assert run(["mine", "--predicate", "all_positive", "--max-size", "4"]) == 0
     out, _ = out_of(capsys)
@@ -267,6 +293,7 @@ def test_mine(capsys):
         ("all_positive", 1, 2, "61d1954b9aba0c9aedb8d1338804e817c7262cfc36da94161dab8e3ed7a3a43a"),
         ("sig_abs_le:1", 4, 28, "7c10bd50a1e4f5dfb83346cdc7ec077c5dd91af24f179afdbc2102936a7feb29"),
         ("det_le:3", 6, 40, "9621d3e98c708c122f859895ba940d74c5ab6394d3db6bfda920952df0736c9d"),
+        ("top_defect_ub_le:1", 18, 186, "5d0651901b01a5831f05753e76fa6c38c1e94e21879ae7f0ecccf0ac5f2e3f67"),
     ],
 )
 def test_mine_size_6_output_is_pinned(capsys, spec, lines, size, digest):

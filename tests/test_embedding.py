@@ -183,14 +183,11 @@ def test_oracle_examples():
     assert not oracle_embeds(parse("-"), parse("+(+)"))
 
 
-def test_oracle_guard():
+def test_operation_closure_takes_any_size():
+    # Size limits are the command line's policy, not the library's.
     nine = parse("+(+(+(+(+(+(+(+(+))))))))")
-    assert nine.size == 9
-    with pytest.raises(ValueError):
-        oracle_embeds(parse("+"), nine)
-    with pytest.raises(ValueError):
-        operation_closure(nine)
-    assert oracle_embeds(parse("+"), nine, max_size=9)
+    assert operation_closure(nine) == {"+(" * k + "+" + ")" * k for k in range(9)}
+    assert oracle_embeds(parse("+"), nine)
 
 
 def test_dp_agrees_with_oracle_small(u3, u4):

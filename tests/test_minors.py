@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hopfarb import minors
 from hopfarb.embedding import embeds
-from hopfarb.invariants import fingerprint
+from hopfarb.invariants import boundary_components, fingerprint
 from hopfarb.minors import (
     Predicate,
     _REGISTRY,
@@ -61,12 +61,6 @@ def test_poset_stats(u2):
     assert stats["trees_per_size"] == {1: 2, 2: 4}
     assert stats["relation_pairs"] == 6
     assert stats["pairs_per_size"] == {"1->2": 6}
-
-
-def test_poset_guard():
-    with pytest.raises(ValueError):
-        poset(universe(4), max_nmax=3)
-    assert poset(universe(4), max_nmax=4).stats["trees"] == 102
 
 
 def test_relation_transitively_closed(u4):
@@ -199,9 +193,22 @@ def test_minimal_excluded_empty_when_unviolated():
 
 def test_minimal_excluded_guard():
     with pytest.raises(ValueError):
-        minimal_excluded(Predicate.parse("all_positive"), 7)
-    with pytest.raises(ValueError):
         minimal_excluded(Predicate.parse("all_positive"), 0)
+
+
+def test_minimal_excluded_takes_any_bound():
+    # Size limits are the command line's policy, not the library's.
+    assert [t.text for t in minimal_excluded(Predicate.parse("all_positive"), 7)] == ["-"]
+
+
+def test_minimal_excluded_mines_knots_only_predicates_over_knots():
+    # A link never violates a knots-only predicate, so +(-) and -(+) are
+    # minimal although the links + and - embed into them.
+    def mined(k):
+        return [t.text for t in minimal_excluded(Predicate.parse(f"top_defect_ub_le:{k}"), 6)]
+
+    assert mined(0) == ["+(-)", "-(+)"]
+    assert (len(mined(1)), len(mined(2))) == (18, 300)
 
 
 def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
@@ -221,17 +228,17 @@ def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
     below_satisfier = {}
     for spec in specs.values():
         p = Predicate.parse(spec)
-        if p.knots_only:
-            with pytest.raises(ValueError, match="knots only"):
-                minimal_excluded(p, 5)
-            continue
-        violates = [not evaluate(p, t) for t in u5.trees]
+        # A knots-only predicate is violated by knots only.
+        violates = [
+            (not p.knots_only or boundary_components(t) == 1) and not evaluate(p, t)
+            for t in u5.trees
+        ]
         covered = {j for i, j in relation if violates[i]}
         expected = sorted(
             (t for j, t in enumerate(u5.trees) if violates[j] and j not in covered),
             key=lambda t: t.text,
         )
-        assert minimal_excluded(p, 5) == expected, p.name
+        assert expected and minimal_excluded(p, 5) == expected, p.name
         below_satisfier[p.name] = sum(1 for i, j in relation if violates[i] and not violates[j])
     assert below_satisfier["sig_abs_le"] == 1070
     assert below_satisfier["det_le"] == 12
@@ -287,8 +294,6 @@ def test_audit_monotone_empty():
 def test_audit_monotone_errors():
     with pytest.raises(ValueError, match="unknown quantity"):
         audit_monotone("sig", 3)
-    with pytest.raises(ValueError):
-        audit_monotone("genus", 9)
 
 
 # --- fingerprint classes -----------------------------------------------------
