@@ -1,16 +1,8 @@
 #!/usr/bin/env python3
 # Signed plane trees: the textual grammar, exhaustive enumeration, and
-# the three reductions that generate the minor order.
+# the one reduction that generates the minor order.
 
-from hopfarb import (
-    contract_path,
-    count,
-    delete_leaf,
-    enumerate_trees,
-    parse,
-    random_tree,
-    strip_root,
-)
+from hopfarb import count, enumerate_trees, parse, random_tree, remove_vertex
 
 # A tree text is a sign, optionally followed by a parenthesized list of
 # children.  Whitespace is free; the canonical form has none.
@@ -39,19 +31,23 @@ print("\nrandom size-6 trees:", [random_tree(6, seed).text for seed in (0, 1, 2)
 
 # --- reductions --------------------------------------------------------------
 
-# Three operations generate the homeomorphic-embedding order.
+# One operation generates the homeomorphic-embedding order: remove a
+# vertex that has at most one child.  Every other vertex keeps its sign.
 t = parse("+(+,-(+))")
 print("\nstart:          ", t.text)
 
-# (1) delete a leaf: vertex 3 is the deepest '+'.
-print("delete leaf 3:  ", delete_leaf(t, 3).text)
+# A leaf goes with its edge: vertex 3 is the deepest '+'.
+print("remove leaf 3:  ", remove_vertex(t, 3).text)
 
-# (2) strip a single-child root.
-print("strip root of -(+(+,-)):", strip_root(parse("-(+(+,-))")).text)
+# A single-child root gives way to its child.
+print("remove root of -(+(+,-)):", remove_vertex(parse("-(+(+,-))"), 0).text)
 
-# (3) contract a path whose interior vertices have one child each;
-# endpoint labels survive, interior labels vanish.
-print("contract 0->2 in +(-(+)):", contract_path(parse("+(-(+))"), 0, 2).text)
+# A single-child vertex elsewhere is replaced by its child, which merges
+# its two edges; removing each interior vertex of a path contracts it.
+print("remove 1 from +(-(+)):   ", remove_vertex(parse("+(-(+))"), 1).text)
 
-# Contracting an actual edge is the identity:
-print("contract 0->1 in +(+):   ", contract_path(parse("+(+)"), 0, 1).text)
+# A vertex with two children cannot go.
+try:
+    remove_vertex(t, 0)
+except ValueError as exc:
+    print("remove 0 from", t.text + ":", exc)

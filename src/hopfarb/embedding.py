@@ -1,11 +1,11 @@
 """Homeomorphic embedding of signed plane trees.
 
 ``T1`` embeds into ``T2`` when ``T1`` is reachable from ``T2`` by
-iterated leaf deletion, removal of a single-child root, and contraction
-of single-child paths to an edge, all respecting vertex signs and the
-plane (left-to-right) order.  Equivalently, there is an injection of the
-vertices of ``T1`` into those of ``T2`` preserving signs, sending edges
-to vertex-disjoint strictly descending paths, and entering the children
+iterated :func:`hopfarb.trees.remove_vertex`, which removes a vertex
+with at most one child and keeps the signs and plane (left-to-right)
+order of the rest.  Equivalently, there is an injection of the vertices
+of ``T1`` into those of ``T2`` preserving signs, sending edges to
+vertex-disjoint strictly descending paths, and entering the children
 subtrees of each image in the order of the corresponding children.
 
 Two deciders are provided: a polynomial dynamic program (`embeds`, with
@@ -109,7 +109,7 @@ def embeds(t1: PlaneTree, t2: PlaneTree) -> bool:
     """Decide whether ``t1`` has a homeomorphic embedding into ``t2``.
 
     The image of the root of ``t1`` may be any vertex of ``t2``: whatever
-    lies above it can be pruned by leaf deletions and root removals.
+    lies above it can be pruned by removing leaves and single-child roots.
     """
     return _rows(t1, t2) is not None
 
@@ -180,7 +180,7 @@ def verify_witness(t1: PlaneTree, t2: PlaneTree, w: EmbeddingWitness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle: breadth-first closure of the reduction operations.
+# Brute-force oracle: the closure of the one-vertex reductions.
 # ---------------------------------------------------------------------------
 
 

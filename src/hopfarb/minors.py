@@ -10,8 +10,8 @@ quantities that are expected to be monotone along the order (genus,
 Betti number) and groups same-size trees by their invariant fingerprint
 as a stand-in for boundary-link equivalence.
 
-The order is generated by the one-vertex reductions of
-:func:`hopfarb.trees.reductions`: they are its covers.  One backward
+The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
+trees of :func:`hopfarb.trees.reductions` are its covers.  One backward
 walk over the enumeration (larger trees first) keeps two bitset rows per
 tree, the trees covering it and its strict up-set, so reading the set
 bits row by row gives both pair lists in output order.  The relation

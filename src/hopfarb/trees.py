@@ -1,12 +1,14 @@
-"""Signed plane trees and their reduction operations.
+"""Signed plane trees and the reduction that orders them.
 
 A plane tree here is a rooted tree in which every vertex carries a sign
 (+1 or -1) and the children of every vertex are linearly ordered.  Such a
 tree encodes an iterated plumbing of Hopf bands: one band per vertex, one
 plumbing square per edge.  This module provides the textual grammar for
 these trees, exhaustive enumeration, uniform random sampling, and the
-three reductions (leaf deletion, root stripping, path contraction) that
-generate the homeomorphic-embedding quasi-order.
+one reduction that generates the homeomorphic-embedding quasi-order:
+:func:`remove_vertex` removes a vertex with at most one child, which
+deletes a leaf, strips a single-child root, or merges the two edges at
+any other single-child vertex into one.
 
 Grammar::
 
@@ -49,9 +51,7 @@ __all__ = [
     "enumerate_trees",
     "count",
     "unrank",
-    "delete_leaf",
-    "strip_root",
-    "contract_path",
+    "remove_vertex",
     "reductions",
     "random_tree",
     "tree_to_json",
@@ -294,9 +294,9 @@ def random_tree(n: int, seed: int) -> PlaneTree:
 
 
 # ---------------------------------------------------------------------------
-# Reduction operations.  Vertices appear in the canonical text in preorder,
-# so removing one is a splice of that text; each operation returns
-# ``parse`` of the spliced text and leaves its input untouched.
+# The reduction: remove one vertex that has at most one child.  Vertices
+# appear in the canonical text in preorder, so removing one is a splice
+# of that text; the result is ``parse`` of it, and the input is untouched.
 # ---------------------------------------------------------------------------
 
 
@@ -305,16 +305,15 @@ def _offsets(t: PlaneTree) -> list[int]:
     return [j for j, c in enumerate(t.text) if c in _CHAR_SIGN]
 
 
-def _splice(text: str, i: int, k: int = 1) -> str:
-    # Canonical ``text`` without the vertex whose sign is at offset ``i``.
-    # A chain s1(...sk(X)...) of k single-child vertices starting there
-    # becomes X; a leaf goes with one adjacent comma, or with its
-    # parentheses as an only child.
+def _splice(text: str, i: int) -> str:
+    # Canonical ``text`` without the vertex whose sign is at offset ``i``,
+    # which has at most one child: s(X) becomes X, and a leaf goes with
+    # one adjacent comma, or with its parentheses as an only child.
     if text[i + 1 : i + 2] == "(":
-        # The chain's subtree text ends at the ')' that brings depth back to 0.
+        # X's text ends just before the ')' that brings depth back to 0.
         depth = accumulate((c == "(") - (c == ")") for c in text[i + 1 :])
         e = i + 2 + next(j for j, d in enumerate(depth) if not d)
-        return text[:i] + text[i + 2 * k : e - k] + text[e:]
+        return text[:i] + text[i + 2 : e - 1] + text[e:]
     if text[i - 1] == "(" and text[i + 1] == ")":
         return text[: i - 1] + text[i + 2 :]
     if text[i + 1] == ",":
@@ -322,52 +321,25 @@ def _splice(text: str, i: int, k: int = 1) -> str:
     return text[: i - 1] + text[i + 1 :]
 
 
-def _check_vertex(t: PlaneTree, v: int) -> None:
+def remove_vertex(t: PlaneTree, v: int) -> PlaneTree:
+    """``t`` without the vertex ``v``, which has at most one child.
+
+    A leaf goes with its parent edge.  The only child of ``v`` takes the
+    slot of ``v`` among its siblings, or becomes the root when ``v`` is
+    the root.  Every other vertex keeps its sign and its sibling order.
+    Raises ``ValueError`` when ``v`` is not an ``int`` (``True`` and
+    ``1.0`` are refused), is out of range, or has two or more children,
+    and when ``t`` has one vertex.
+    """
+    if type(v) is not int:
+        raise ValueError(f"a vertex must be an int, got {v!r}")
     if not 0 <= v < t.size:
         raise ValueError(f"vertex {v} out of range for a tree of {t.size} vertices")
-
-
-def delete_leaf(t: PlaneTree, v: int) -> PlaneTree:
-    """Remove the leaf ``v`` and its parent edge, preserving sibling order."""
-    _check_vertex(t, v)
-    if t.children[v]:
-        raise ValueError(f"vertex {v} is not a leaf")
+    if len(t.children[v]) > 1:
+        raise ValueError(f"vertex {v} has {len(t.children[v])} children, expected at most 1")
     if t.size == 1:
-        raise ValueError("cannot delete the only vertex of a tree")
+        raise ValueError("cannot remove the only vertex of a tree")
     return parse(_splice(t.text, _offsets(t)[v]))
-
-
-def strip_root(t: PlaneTree) -> PlaneTree:
-    """Remove a root with a single child and reroot at that child."""
-    kids = t.children[t.root]
-    if len(kids) != 1:
-        raise ValueError(f"root has {len(kids)} children, expected exactly 1")
-    return parse(_splice(t.text, _offsets(t)[t.root]))
-
-
-def contract_path(t: PlaneTree, u: int, w: int) -> PlaneTree:
-    """Contract the tree path from ``u`` down to ``w`` into the edge u -> w.
-
-    ``w`` must be a strict descendant of ``u`` and every vertex strictly
-    between them must have exactly one child.  The labels of ``u`` and
-    ``w`` are kept; ``w`` takes the child slot of the path's first
-    interior vertex.  A path that is already an edge contracts to itself.
-    """
-    _check_vertex(t, u)
-    _check_vertex(t, w)
-    interior: list[int] = []
-    p = t.parents[w]
-    while p is not None and p != u:
-        interior.append(p)
-        p = t.parents[p]
-    if p != u:
-        raise ValueError(f"vertex {w} is not a strict descendant of {u}")
-    for x in reversed(interior):
-        if len(t.children[x]) != 1:
-            raise ValueError(f"interior vertex {x} has {len(t.children[x])} children, expected 1")
-    if not interior:
-        return t
-    return parse(_splice(t.text, _offsets(t)[interior[-1]], len(interior)))
 
 
 def _reduction_texts(t: PlaneTree) -> Iterator[str]:
@@ -382,12 +354,12 @@ def _reduction_texts(t: PlaneTree) -> Iterator[str]:
 
 
 def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
-    """Every tree obtained from ``t`` by one reduction removing one vertex.
+    """``remove_vertex(t, v)`` for every vertex ``v`` that it accepts.
 
-    Yields each leaf deletion, the root strip, and the contraction of
-    each single-child interior vertex, possibly with repeats.  Longer
-    path contractions are chains of these, so the reflexive-transitive
-    closure of this step is the embedding order.
+    Yields the removal of each leaf by index, then of a single-child
+    root, then of each other single-child vertex by parent, possibly
+    with repeats.  The reflexive-transitive closure of this step is the
+    embedding order.
     """
     return map(parse, _reduction_texts(t))
 
@@ -408,6 +380,13 @@ def tree_to_json(t: PlaneTree) -> str:
 
 
 def tree_from_json_obj(obj: dict) -> PlaneTree:
+    """The tree of a decoded JSON object, as written by :func:`tree_to_json`.
+
+    Each node is a dict with ``"label"`` ``"+"`` or ``"-"`` and an optional
+    ``"children"`` list of nodes, read as empty when missing; other keys
+    are ignored.  Raises ``ValueError`` when a node is not a dict, its
+    label is missing or not ``"+"``/``"-"``, or its children are not a list.
+    """
     labels: list[int] = []
     parents: list[int | None] = []
     stack: list[tuple[dict, int | None]] = [(obj, None)]

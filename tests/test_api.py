@@ -1,4 +1,4 @@
-"""The package's public names are exactly its library modules' ``__all__``."""
+"""The package's public names are exactly its library modules' ``__all__``, each documented."""
 
 import types
 
@@ -20,3 +20,10 @@ def test_package_exports_each_module_all_and_nothing_else():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(hopfarb, name) is getattr(module, name), name
+
+
+def test_every_public_name_has_a_docstring():
+    for module in MODULES:
+        for name in module.__all__:
+            doc = getattr(module, name).__doc__
+            assert doc and doc.strip(), f"{module.__name__}.{name}"

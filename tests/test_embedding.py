@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,10 @@ from hopfarb.embedding import (
 )
 from hopfarb.trees import (
     PlaneTree,
-    contract_path,
-    delete_leaf,
     parse,
     random_tree,
     reductions,
-    strip_root,
+    remove_vertex,
 )
 from splice_reference import splice
 from strategies import plane_trees
@@ -379,16 +378,15 @@ def test_single_reductions_embed_back(u4):
     for t in u4.trees:
         results = []
         for v in range(t.size):
-            if not t.children[v] and t.size > 1:
-                results.append(delete_leaf(t, v))
-        if len(t.children[t.root]) == 1:
-            results.append(strip_root(t))
+            if len(t.children[v]) <= 1 and t.size > 1:
+                results.append(remove_vertex(t, v))
         for u in range(t.size):
-            for c in t.children[u]:
-                interior = c
-                while len(t.children[interior]) == 1:
-                    w = t.children[interior][0]
-                    results.append(contract_path(t, u, w))
-                    interior = w
+            for x in t.children[u]:
+                interior = []
+                while len(t.children[x]) == 1:
+                    interior.append(x)
+                    x = t.children[x][0]
+                    # Deepest vertex first: a removal renumbers only the vertices after it.
+                    results.append(reduce(remove_vertex, reversed(interior), t))
         for r in results:
             assert embeds(r, t), (r.text, t.text)

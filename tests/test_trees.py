@@ -1,5 +1,6 @@
 import json
 import re
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -9,14 +10,12 @@ from hopfarb.embedding import embeds
 from hopfarb.trees import (
     PlaneTree,
     TreeSyntaxError,
-    contract_path,
     count,
-    delete_leaf,
     enumerate_trees,
     parse,
     random_tree,
     reductions,
-    strip_root,
+    remove_vertex,
     tree_from_json_obj,
     tree_to_json,
     unrank,
@@ -340,14 +339,19 @@ def test_random_tree_uniformity_at_size_3():
 # --- reduction operations ----------------------------------------------------
 
 
+def remove_path(t, interior):
+    # Deepest vertex first: a removal renumbers only the vertices after it.
+    return reduce(remove_vertex, sorted(interior, reverse=True), t)
+
+
 def test_delete_leaf():
     t = parse("+(+,-)")
-    assert delete_leaf(t, 2) == parse("+(+)")
-    assert delete_leaf(t, 1) == parse("+(-)")
-    with pytest.raises(ValueError):
-        delete_leaf(t, 0)  # root has children
-    with pytest.raises(ValueError):
-        delete_leaf(parse("+"), 0)  # would empty the tree
+    assert remove_vertex(t, 2) == parse("+(+)")
+    assert remove_vertex(t, 1) == parse("+(-)")
+    with pytest.raises(ValueError, match="vertex 0 has 2 children, expected at most 1"):
+        remove_vertex(t, 0)
+    with pytest.raises(ValueError, match="cannot remove the only vertex"):
+        remove_vertex(parse("+"), 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -355,41 +359,40 @@ def test_reduction_operations_range_check_vertices(bad):
     t = parse("+(-(+))")
     message = f"vertex {bad} out of range for a tree of 3 vertices"
     with pytest.raises(ValueError, match=message):
-        delete_leaf(t, bad)
-    with pytest.raises(ValueError, match=message):
-        contract_path(t, 0, bad)  # -1 is not read as the last vertex, 2
-    with pytest.raises(ValueError, match=message):
-        contract_path(t, bad, 2)
+        remove_vertex(t, bad)  # -1 is not read as the last vertex, 2
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_remove_vertex_takes_only_an_int(bad):
+    # True == 1 and 1.0 == 1, yet neither names vertex 1.
+    with pytest.raises(ValueError, match=f"a vertex must be an int, got {bad!r}"):
+        remove_vertex(parse("+(+,-)"), bad)
 
 
 def test_delete_leaf_preserves_sibling_order():
     t = parse("+(+,-,+)")
-    assert delete_leaf(t, 2) == parse("+(+,+)")
+    assert remove_vertex(t, 2) == parse("+(+,+)")
 
 
 def test_strip_root():
-    assert strip_root(parse("+(-)")) == parse("-")
-    assert strip_root(parse("-(+(+,-))")) == parse("+(+,-)")
+    assert remove_vertex(parse("+(-)"), 0) == parse("-")
+    assert remove_vertex(parse("-(+(+,-))"), 0) == parse("+(+,-)")
     with pytest.raises(ValueError):
-        strip_root(parse("+(+,-)"))
+        remove_vertex(parse("+(+,-)"), 0)
     with pytest.raises(ValueError):
-        strip_root(parse("+"))
+        remove_vertex(parse("+"), 0)
 
 
 def test_contract_path():
-    assert contract_path(parse("+(-(+))"), 0, 2) == parse("+(+)")
-    assert contract_path(parse("+(-(-(+)))"), 0, 3) == parse("+(+)")
-    t = parse("+(+)")
-    assert contract_path(t, 0, 1) == t  # already an edge: identity
+    assert remove_vertex(parse("+(-(+))"), 1) == parse("+(+)")
+    assert remove_path(parse("+(-(-(+)))"), [1, 2]) == parse("+(+)")
     with pytest.raises(ValueError):
-        contract_path(parse("+(-(+,-))"), 0, 2)  # interior has two children
-    with pytest.raises(ValueError):
-        contract_path(parse("+(+,-)"), 1, 2)  # not a descendant
+        remove_vertex(parse("+(-(+,-))"), 1)  # two children
 
 
 def test_contract_path_keeps_child_slot():
     t = parse("+(+,-(-),+)")
-    assert contract_path(t, 0, 3) == parse("+(+,-,+)")
+    assert remove_vertex(t, 2) == parse("+(+,-,+)")
 
 
 def test_reductions_shrink_and_stay_valid(u4):
@@ -397,18 +400,15 @@ def test_reductions_shrink_and_stay_valid(u4):
     # only need the size bookkeeping.
     for t in u4.trees:
         for v in range(t.size):
-            if not t.children[v] and t.size > 1:
-                assert delete_leaf(t, v).size == t.size - 1
-        if len(t.children[t.root]) == 1:
-            assert strip_root(t).size == t.size - 1
+            if len(t.children[v]) <= 1 and t.size > 1:
+                assert remove_vertex(t, v).size == t.size - 1
         for u in range(t.size):
-            for c in t.children[u]:
-                interior, hops = c, 0
-                while len(t.children[interior]) == 1:
-                    w = t.children[interior][0]
-                    hops += 1
-                    assert contract_path(t, u, w).size == t.size - hops
-                    interior = w
+            for x in t.children[u]:
+                interior = []
+                while len(t.children[x]) == 1:
+                    interior.append(x)
+                    x = t.children[x][0]
+                    assert remove_path(t, interior).size == t.size - len(interior)
 
 
 def test_reductions_remove_one_vertex():
@@ -435,15 +435,16 @@ def test_reductions_match_structural_reference_up_to_7():
 def test_reduction_operations_match_structural_reference(t):
     assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
     for v in range(t.size):
-        if not t.children[v] and t.size > 1:
-            assert delete_leaf(t, v).text == splice(t, {v}).text
-    if len(t.children[t.root]) == 1:
-        assert strip_root(t).text == splice(t, {t.root}).text
+        if len(t.children[v]) <= 1 and t.size > 1:
+            assert remove_vertex(t, v).text == splice(t, {v}).text
+        else:
+            with pytest.raises(ValueError):
+                remove_vertex(t, v)
     for u in range(t.size):
         for w in range(t.size):
             interior = path_interior(t, u, w)
-            if interior is not None and all(len(t.children[x]) == 1 for x in interior):
-                assert contract_path(t, u, w).text == splice(t, set(interior)).text
+            if interior and all(len(t.children[x]) == 1 for x in interior):
+                assert remove_path(t, interior).text == splice(t, set(interior)).text
 
 
 def test_deep_and_wide_trees():
@@ -455,19 +456,18 @@ def test_deep_and_wide_trees():
     path_text = "+(" * (n - 1) + "-" + ")" * (n - 1)
     path = parse(path_text)
     assert path.size == n and path.text == path_text
-    assert delete_leaf(path, n - 1).text == "+(" * (n - 2) + "+" + ")" * (n - 2)
-    assert strip_root(path).text == path_text[2:-1]
-    assert contract_path(path, 0, n - 1).text == "+(-)"
+    assert remove_vertex(path, n - 1).text == "+(" * (n - 2) + "+" + ")" * (n - 2)
+    assert remove_vertex(path, 0).text == path_text[2:-1]
+    assert remove_vertex(path, 1).text == "+(" * (n - 2) + "-" + ")" * (n - 2)
     assert tree_to_json(path) == '{"label":"+","children":[' * (n - 1) + leaf + "]}" * (n - 1)
     assert tree_from_json_obj(tree_to_json_obj(path)) == path
 
     star_text = "+(" + ",".join("-" * (n - 1)) + ")"
     star = parse(star_text)
     assert star.size == n and star.text == star_text
-    assert delete_leaf(star, 1).size == n - 1
-    assert contract_path(star, 0, 1) == star
+    assert remove_vertex(star, 1).size == n - 1
     with pytest.raises(ValueError):
-        strip_root(star)
+        remove_vertex(star, 0)
     assert tree_to_json(star) == '{"label":"+","children":[' + ",".join([leaf] * (n - 1)) + "]}"
     assert tree_from_json_obj(tree_to_json_obj(star)) == star
 
