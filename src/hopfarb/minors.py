@@ -14,21 +14,24 @@ The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
 trees of :func:`hopfarb.trees.reductions` are its covers.  One backward
 walk over the enumeration (larger trees first) keeps two bitset rows per
 tree, the trees covering it and its strict up-set, so reading the set
-bits row by row gives both pair lists in output order.  The relation
-table still grows quadratically with the universe, so callers pick the
-bound (6: about 3.2k trees).  Mining needs no relation table and holds
-no universe: it enumerates one size at a time, and tests each violator
-with the embedding DP against the minimal violators of smaller sizes,
-the one that matched last first.  Fingerprint classes compute each
-fingerprint once per unrooted, unordered signed tree (189 of them among
-the 2,688 trees of size 6): the Seifert invariants of a plumbing see
-neither its root nor its plane order, because re-rooting and reordering
-only permute the basis and move edge units between the two slots of an
-edge.  Its key comes from a plan made once per shape (42 at size 6),
-the shape's centres and the order from each centre up from the leaves,
-applied to each tree's signs.  All outputs are deterministic: trees in
-enumeration order, pair lists lexicographically, mined families by
-canonical text.
+bits row by row gives both pair lists in output order.  Every sweep
+reads the covers from one reduction plan per shape, filled with each
+tree's signs.  The relation table still grows quadratically with the
+universe, so callers pick the bound (6: about 3.2k trees).  Audits and
+mining enumerate one size at a time and hold no universe.  An audit
+compares each tree with its covers and builds the table only when a
+cover fails.  Mining tests each violator with the embedding DP against
+the minimal violators of smaller sizes: first the one that matched
+last, then the one found below a violating reduction, then the rest.
+Fingerprint classes compute each fingerprint once per unrooted,
+unordered signed tree (189 of them among the 2,688 trees of size 6):
+the Seifert invariants of a plumbing see neither its root nor its plane
+order, because re-rooting and reordering only permute the basis and
+move edge units between the two slots of an edge.  Its key comes from a
+plan made once per shape (42 at size 6), the shape's centres and the
+order from each centre up from the leaves, applied to each tree's signs.
+All outputs are deterministic: trees in enumeration order, pair lists
+lexicographically, mined families by canonical text.
 """
 
 from __future__ import annotations
@@ -112,9 +115,10 @@ def _order(u: Universe) -> tuple[list[int], list[int]]:
     index = {t.text: i for i, t in enumerate(u.trees)}
     above = [0] * len(u.trees)
     up = [0] * len(u.trees)
+    plans: dict = {}
     for j in range(len(u.trees) - 1, -1, -1):
         reach = 1 << j | up[j]
-        for r in {index[x] for x in _reduction_texts(u.trees[j])}:
+        for r in {index[x] for x in _reduction_texts(u.trees[j], plans)}:
             above[r] |= 1 << j
             up[r] |= reach
     return above, up
@@ -137,8 +141,8 @@ def poset(u: Universe) -> PosetReport:
     Same-size pairs are excluded by definition (i != j and equal sizes
     force equal trees).  The Hasse pairs are the one-vertex reductions.
     The rows grow quadratically with the universe: in process on a
-    2-core host, bound 6 (3,238 trees) takes about 0.2 s and 21 MiB,
-    bound 7 (20,134 trees) about 1 s and 86 MiB.
+    shared 2-core host, bound 6 (3,238 trees) takes about 0.1 s and
+    22 MiB, bound 7 (20,134 trees) about 1.4 s and 87 MiB.
     """
     above, up = _order(u)
     pairs = tuple(_pairs(up))
@@ -222,14 +226,31 @@ def evaluate(p: Predicate, t: PlaneTree) -> bool:
     return _REGISTRY[p.name][2](t, *p.params)
 
 
-def _first_embedded(t: PlaneTree, family) -> int | None:
-    """Index of the first member of ``family`` that embeds into ``t``, or None."""
-    return next((i for i, f in enumerate(family) if embeds(f, t)), None)
-
-
 def check_excluded_family(t: PlaneTree, family) -> bool:
     """True iff no member of ``family`` embeds into ``t``."""
-    return _first_embedded(t, family) is None
+    return not any(embeds(f, t) for f in family)
+
+
+def _embedded_member(t: PlaneTree, smaller: list, witness: dict, plans: dict) -> PlaneTree | None:
+    # A member of ``smaller`` that embeds into ``t``, moved to the front,
+    # or None.  Tried in turn: the front member, the witness of the first
+    # reduction of ``t`` in ``witness``, the rest.
+    if not smaller:
+        return None
+    head = smaller[0]
+    if embeds(head, t):
+        return head
+    hint = head  # already refused
+    if witness:
+        hint = next((witness[x] for x in _reduction_texts(t, plans) if x in witness), head)
+    if hint is not head and embeds(hint, t):
+        found = hint
+    else:
+        found = next((f for f in smaller[1:] if f is not hint and embeds(f, t)), None)
+    if found is not None:  # by identity: dataclass equality would cost more than the DP saves
+        i = next(i for i, f in enumerate(smaller) if f is found)
+        smaller.insert(0, smaller.pop(i))
+    return found
 
 
 def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
@@ -243,8 +264,12 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     A violator with some violator strictly below it also has a minimal
     one there, so in size order each violator is tested only against the
     minimal violators of smaller sizes.  This holds for any predicate,
-    monotone or not.  The test does not depend on their order, so the one
-    that matched last moves to the front: neighbours share witnesses.
+    monotone or not, and the answer does not depend on the order in
+    which they are tried.  The one that matched last is tried first:
+    neighbours share witnesses.  Next comes the witness of a violating
+    reduction, a minimal violator below it and so, by transitivity,
+    below the tree; each size's violators keep theirs for the next size.
+    The embedding DP decides every candidate, the witness included.
 
     A knots-only predicate is not violated by a multi-component link, so
     its minimal violators are knots with no violating knot below them.
@@ -252,20 +277,37 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     minimal: list[PlaneTree] = []
+    plans: dict = {}
+    witness: dict[str, PlaneTree] = {}  # the previous size's violators
     for k in range(1, nmax + 1):
         smaller = list(minimal)
+        found = {}
         for t in enumerate_trees(k):
             if (p.knots_only and boundary_components(t) != 1) or evaluate(p, t):
                 continue
-            i = _first_embedded(t, smaller)
-            if i is None:
+            w = _embedded_member(t, smaller, witness, plans)
+            if w is None:
                 minimal.append(t)
-            elif i:
-                smaller.insert(0, smaller.pop(i))
+            found[t.text] = w or t
+        witness = found
     return sorted(minimal, key=lambda t: t.text)
 
 
 _QUANTITIES = {"betti": betti, "genus": genus}
+
+
+def _covers_hold(q, nmax: int) -> bool:
+    """Whether no tree up to ``nmax`` has a one-vertex reduction of larger ``q``."""
+    plans: dict = {}
+    below: dict[str, int] = {}
+    for k in range(1, nmax + 1):
+        here = {}
+        for t in enumerate_trees(k):
+            value = here[t.text] = q(t)
+            if any(below[x] > value for x in _reduction_texts(t, plans)):
+                return False
+        below = here
+    return True
 
 
 def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
@@ -276,12 +318,20 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     registered quantities: an embedding realizes the smaller surface as
     an incompressible subsurface of the larger one, which cannot raise
     genus, and it injects vertices, which cannot raise the Betti number.
-    It walks the same rows as :func:`poset` but keeps no pair list: bound
-    7 takes about 0.9 s and 38 MiB in process on a 2-core host.
+
+    A failing pair has a failing cover on the chain of reductions between
+    its trees, so the covers are checked first, one size at a time, and
+    only a failing cover makes the scan walk the rows of :func:`poset`.
+    With no failure, bound 7 takes about 0.3 s and 18 MiB in process on a
+    shared 2-core host.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}")
+    if nmax < 1:
+        raise ValueError("universe bound must be >= 1")
     q = _QUANTITIES[quantity]
+    if _covers_hold(q, nmax):
+        return []
     u = universe(nmax)
     values = [q(t) for t in u.trees]
     _, up = _order(u)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import defaultdict
 from itertools import permutations, product
 
@@ -245,15 +246,62 @@ def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
     assert below_satisfier["genus_le"] == below_satisfier["size_le"] == 0
 
 
-@pytest.mark.parametrize("spec,calls", [("genus_le:1", 17_030), ("all_positive", 3_172)])
+@pytest.mark.parametrize("spec,calls", [("genus_le:1", 4_904), ("all_positive", 3_172)])
 def test_mining_calls_the_dp_through_minors(monkeypatch, spec, calls):
-    # One call per (minimal, violator) pair tried up to the first that
-    # embeds, the last-matched minimal violator first; the benchmark's
+    # One call for the last-matched minimal violator, then one for the
+    # witness a violating reduction inherited, then one per remaining
+    # minimal violator up to the first that embeds.  The benchmark's
     # self-test flips ``minors.embeds`` and needs ``mine`` to call it.
     seen = []
     monkeypatch.setattr(minors, "embeds", lambda a, b: seen.append(a) or embeds(a, b))
     minimal_excluded(Predicate.parse(spec), 6)
     assert len(seen) == calls
+
+
+def test_a_flipped_dp_changes_the_mined_family(monkeypatch):
+    # The benchmark's self-test, in process.
+    p = Predicate.parse("all_positive")
+    mined = minimal_excluded(p, 6)
+    monkeypatch.setattr(minors, "embeds", lambda a, b: not embeds(a, b))
+    assert minimal_excluded(p, 6) != mined
+
+
+def test_the_dp_decides_inherited_witnesses(monkeypatch):
+    # With a DP that finds nothing, every violator is minimal: a witness
+    # inherited through a reduction is not taken on trust.  (Flipped,
+    # genus_le:1 keeps its family: all 48 minimal violators have 4
+    # vertices, and no larger violator hosts all 48.)
+    p = Predicate.parse("genus_le:1")
+    violators = [t for n in range(1, 7) for t in enumerate_trees(n) if not evaluate(p, t)]
+    monkeypatch.setattr(minors, "embeds", lambda a, b: False)
+    assert minimal_excluded(p, 6) == sorted(violators, key=lambda t: t.text)
+
+
+# SHA-256 of the canonical texts, one per line.  They were taken from
+# the move-to-front scan alone, before inherited witnesses were tried,
+# so they pin that trying those witnesses changes no family.
+MINED_SHA256 = {
+    ("size_le:3", 6): "0bc1e73a245ef0208c1a06718b841d8926c97eb7851611c25875a678e25fb6b2",
+    ("genus_le:1", 6): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
+    ("all_positive", 6): "3973e022e93220f9212c18d0d0c543ae7c309e46640da93a4a0314de999f5112",
+    ("sig_abs_le:1", 6): "860c6ac68f17d645537027af1d39c1f863c5cf5d6e59dd21fd49cddcd348d11e",
+    ("det_le:3", 6): "07ded2b8c7ad7f29deee7a078dcfc8e332bd17d2518d616cc46da1f57da98527",
+    ("top_defect_ub_le:1", 6): "99b9597f779f28e4fa7aacd6835ab3aa10e33556b0761713873e90491e0f8d39",
+    ("genus_le:1", 7): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
+    ("size_le:3", 7): "0bc1e73a245ef0208c1a06718b841d8926c97eb7851611c25875a678e25fb6b2",
+    ("det_le:3", 7): "07ded2b8c7ad7f29deee7a078dcfc8e332bd17d2518d616cc46da1f57da98527",
+}
+
+
+@pytest.mark.parametrize("spec,nmax", sorted(MINED_SHA256))
+def test_mined_families_are_pinned(spec, nmax):
+    mined = minimal_excluded(Predicate.parse(spec), nmax)
+    digest = hashlib.sha256("\n".join(t.text for t in mined).encode()).hexdigest()
+    assert digest == MINED_SHA256[spec, nmax]
+
+
+def test_mined_pins_cover_the_registry():
+    assert {Predicate.parse(spec).name for spec, nmax in MINED_SHA256 if nmax == 6} == set(_REGISTRY)
 
 
 def test_mined_family_soundness_and_completeness(u4):
@@ -291,9 +339,34 @@ def test_audit_monotone_empty():
     assert audit_monotone("betti", 4) == []
 
 
+@pytest.mark.parametrize("quantity", ["genus", "betti"])
+def test_audit_stops_at_the_covers(monkeypatch, quantity):
+    # No cover fails, so the relation is never built.
+    def refuse(u):
+        raise AssertionError("_order called")
+
+    monkeypatch.setattr(minors, "_order", refuse)
+    assert audit_monotone(quantity, 7) == []
+
+
+def test_audit_falls_back_to_the_relation(monkeypatch):
+    # The root's sign is not monotone: + embeds into -(-(+)), two
+    # reductions up.  Every failing pair of the relation is reported,
+    # not only failing covers.
+    monkeypatch.setitem(minors._QUANTITIES, "root", lambda t: t.labels[0])
+    u = universe(5)
+    above, up = minors._order(u)
+    root = [t.labels[0] for t in u.trees]
+    expected = [(i, j) for i, j in _naive_pairs(up) if root[i] > root[j]]
+    assert set(expected) - set(_naive_pairs(above))
+    assert audit_monotone("root", 5) == expected
+
+
 def test_audit_monotone_errors():
     with pytest.raises(ValueError, match="unknown quantity"):
         audit_monotone("sig", 3)
+    with pytest.raises(ValueError, match="universe bound"):
+        audit_monotone("genus", 0)
 
 
 # --- fingerprint classes -----------------------------------------------------

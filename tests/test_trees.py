@@ -1,7 +1,7 @@
 import json
 import re
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hopfarb.embedding import embeds
 from hopfarb.trees import (
     PlaneTree,
     TreeSyntaxError,
+    _reduction_texts,
     count,
     enumerate_trees,
     parse,
@@ -425,15 +426,27 @@ def test_reductions_remove_one_vertex():
 
 
 def test_reductions_match_structural_reference_up_to_7():
+    # Each shape's plan is made from its first, all-'+' tree and filled
+    # with the signs of the other stamped trees of that shape.
+    plans = {}
     for n in range(1, 8):
         for t in enumerate_trees(n):
-            assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
+            expected = [r.text for r in reference_reductions(t)]
+            assert [r.text for r in reductions(t)] == expected
+            assert list(_reduction_texts(t, plans)) == expected
+    assert len(plans) == sum(count(n) >> n for n in range(1, 8))
 
 
 @settings(deadline=None)
 @given(plane_trees())
 def test_reduction_operations_match_structural_reference(t):
-    assert [r.text for r in reductions(t)] == [r.text for r in reference_reductions(t)]
+    expected = [r.text for r in reference_reductions(t)]
+    assert [r.text for r in reductions(t)] == expected
+    # A plan made from the same shape with every sign flipped, filled
+    # with the signs of a parsed tree.
+    plans = {}
+    list(_reduction_texts(PlaneTree(tuple(-l for l in t.labels), t.parents), plans))
+    assert list(_reduction_texts(parse(t.text), plans)) == expected
     for v in range(t.size):
         if len(t.children[v]) <= 1 and t.size > 1:
             assert remove_vertex(t, v).text == splice(t, {v}).text
@@ -459,6 +472,9 @@ def test_deep_and_wide_trees():
     assert remove_vertex(path, n - 1).text == "+(" * (n - 2) + "+" + ")" * (n - 2)
     assert remove_vertex(path, 0).text == path_text[2:-1]
     assert remove_vertex(path, 1).text == "+(" * (n - 2) + "-" + ")" * (n - 2)
+    # Reductions come lazily: the leaf, the root, then vertex 1.
+    first = islice(reductions(path), 3)
+    assert [r.text for r in first] == [remove_vertex(path, v).text for v in (n - 1, 0, 1)]
     assert tree_to_json(path) == '{"label":"+","children":[' * (n - 1) + leaf + "]}" * (n - 1)
     assert tree_from_json_obj(tree_to_json_obj(path)) == path
 
@@ -466,6 +482,7 @@ def test_deep_and_wide_trees():
     star = parse(star_text)
     assert star.size == n and star.text == star_text
     assert remove_vertex(star, 1).size == n - 1
+    assert [r.text for r in islice(reductions(star), 2)] == [remove_vertex(star, v).text for v in (1, 2)]
     with pytest.raises(ValueError):
         remove_vertex(star, 0)
     assert tree_to_json(star) == '{"label":"+","children":[' + ",".join([leaf] * (n - 1)) + "]}"
