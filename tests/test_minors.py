@@ -246,24 +246,30 @@ def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
     assert below_satisfier["genus_le"] == below_satisfier["size_le"] == 0
 
 
-@pytest.mark.parametrize("spec,calls", [("genus_le:1", 4_904), ("all_positive", 3_172)])
+@pytest.mark.parametrize("spec,calls", [("genus_le:1", 2_944), ("all_positive", 3_172), ("size_le:3", 3_136)])
 def test_mining_calls_the_dp_through_minors(monkeypatch, spec, calls):
-    # One call for the last-matched minimal violator, then one for the
-    # witness a violating reduction inherited, then one per remaining
-    # minimal violator up to the first that embeds.  The benchmark's
-    # self-test flips ``minors.embeds`` and needs ``mine`` to call it.
+    # One call per tree that inherits a witness through a reduction, and
+    # the witness is a minimal violator.  For a minor-monotone predicate
+    # those trees are the violators that are not minimal.  The
+    # benchmark's self-test flips ``minors.embeds`` and needs ``mine`` to
+    # call it.
+    p = Predicate.parse(spec)
+    violators = sum(1 for n in range(1, 7) for t in enumerate_trees(n) if not evaluate(p, t))
     seen = []
     monkeypatch.setattr(minors, "embeds", lambda a, b: seen.append(a) or embeds(a, b))
-    minimal_excluded(Predicate.parse(spec), 6)
-    assert len(seen) == calls
+    mined = minimal_excluded(p, 6)
+    assert len(seen) == violators - len(mined) == calls
+    assert {a.text for a in seen} <= {t.text for t in mined}
 
 
 def test_a_flipped_dp_changes_the_mined_family(monkeypatch):
     # The benchmark's self-test, in process.
-    p = Predicate.parse("all_positive")
-    mined = minimal_excluded(p, 6)
-    monkeypatch.setattr(minors, "embeds", lambda a, b: not embeds(a, b))
-    assert minimal_excluded(p, 6) != mined
+    for spec in ("all_positive", "genus_le:1"):
+        p = Predicate.parse(spec)
+        mined = minimal_excluded(p, 6)
+        with monkeypatch.context() as m:
+            m.setattr(minors, "embeds", lambda a, b: not embeds(a, b))
+            assert minimal_excluded(p, 6) != mined, spec
 
 
 def test_the_dp_decides_inherited_witnesses(monkeypatch):
@@ -278,8 +284,10 @@ def test_the_dp_decides_inherited_witnesses(monkeypatch):
 
 
 # SHA-256 of the canonical texts, one per line.  They were taken from
-# the move-to-front scan alone, before inherited witnesses were tried,
-# so they pin that trying those witnesses changes no family.
+# an earlier search that tested each violator with the DP against the
+# smaller minimal violators, so they pin that passing witnesses up the
+# covers changes no family.  At nmax 7 the knots-only pins (2, 18 and
+# 300 minimal knots) check that links pass the witness up.
 MINED_SHA256 = {
     ("size_le:3", 6): "0bc1e73a245ef0208c1a06718b841d8926c97eb7851611c25875a678e25fb6b2",
     ("genus_le:1", 6): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
@@ -290,6 +298,11 @@ MINED_SHA256 = {
     ("genus_le:1", 7): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
     ("size_le:3", 7): "0bc1e73a245ef0208c1a06718b841d8926c97eb7851611c25875a678e25fb6b2",
     ("det_le:3", 7): "07ded2b8c7ad7f29deee7a078dcfc8e332bd17d2518d616cc46da1f57da98527",
+    ("sig_abs_le:1", 7): "860c6ac68f17d645537027af1d39c1f863c5cf5d6e59dd21fd49cddcd348d11e",
+    ("all_positive", 7): "3973e022e93220f9212c18d0d0c543ae7c309e46640da93a4a0314de999f5112",
+    ("top_defect_ub_le:0", 7): "377b973afa4c53899b4edf15ce329c5c987fc070ccd074a96b71332f7d0e3163",
+    ("top_defect_ub_le:1", 7): "99b9597f779f28e4fa7aacd6835ab3aa10e33556b0761713873e90491e0f8d39",
+    ("top_defect_ub_le:2", 7): "5c943de34e748754efa6f7ca97c39d78163cdc084356ed4afbc6bed01f7d8091",
 }
 
 
