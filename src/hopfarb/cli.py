@@ -24,6 +24,7 @@ from .trees import (
     parse,
     random_tree,
     tree_to_json,
+    unrank,
 )
 
 DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
@@ -132,6 +133,14 @@ def _write_output(path: str, content: str) -> None:
             fh.write(content)
 
 
+def _universe_tree(i: int) -> PlaneTree:
+    # Tree i of ``minors.universe``, through the size offsets and ``unrank``.
+    n = 1
+    while i >= count(n):
+        i, n = i - count(n), n + 1
+    return unrank(n, i)
+
+
 def _fingerprint_text(fp) -> str:
     return (
         f"n={fp.n} b={fp.b} g={fp.g} sigma={fp.signature} det={fp.determinant} "
@@ -194,9 +203,8 @@ def _dispatch(args) -> int:
     elif args.verb == "audit":
         _check_universe(args.max_size, _guard(args, DEFAULT_POSET_GUARD))
         violations = minors.audit_monotone(args.quantity, args.max_size)
-        trees = minors.universe(args.max_size).trees if violations else ()
         for i, j in violations:
-            print(f"{trees[i].text}\t{trees[j].text}")
+            print(f"{_universe_tree(i).text}\t{_universe_tree(j).text}")
         print(f"violations: {len(violations)}")
     elif args.verb == "classes":
         for cls in minors.fingerprint_classes(args.size):

@@ -194,7 +194,7 @@ def operation_closure(t: PlaneTree) -> frozenset[str]:
     seen = {t.text}
     frontier = [t]
     while frontier:
-        for text in _reduction_texts(frontier.pop()):
+        for _, text in _reduction_texts(frontier.pop()):
             if text not in seen:
                 seen.add(text)
                 frontier.append(parse(text))

@@ -11,18 +11,18 @@ Betti number) and groups same-size trees by their invariant fingerprint
 as a stand-in for boundary-link equivalence.
 
 The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
-trees of :func:`hopfarb.trees.reductions` are its covers.  One backward
-walk over the enumeration (larger trees first) keeps two bitset rows per
-tree, the trees covering it and its strict up-set, so reading the set
-bits row by row gives both pair lists in output order.  Every sweep
-reads the covers from one reduction plan per shape, filled with each
-tree's signs.  The relation table still grows quadratically with the
-universe, so callers pick the bound (6: about 3.2k trees).  Audits and
-mining enumerate one size at a time and hold no universe.  An audit
-compares each tree with its covers and builds the table only when a
-cover fails.  Mining passes one minimal violator up the covers: a tree
-inherits the one found at or below its first cover that has one, and
-a tree that inherits none is minimal exactly when it violates.
+trees of :func:`hopfarb.trees.reductions` are its covers.  One walk up
+the enumeration gives every sweep each tree's covers by index
+arithmetic on its shape rank and sign word, with the reduced shapes
+looked up, and confirmed by the embedding DP, once per shape; nothing
+is keyed by tree text.  The relation table walks back down with two
+bitset rows per tree, the trees covering it and its strict up-set, so
+reading the set bits row by row gives both pair lists in output order.
+It grows quadratically with the universe, so callers pick the bound
+(6: about 3.2k trees).  Audits and mining keep one value or flag per
+tree and no trees.  An audit compares each tree with its covers and
+builds the table only when a cover fails.  Mining flags each tree with
+a violator at or below it; a violator with no flagged cover is minimal.
 Fingerprint classes compute each fingerprint once per unrooted,
 unordered signed tree (189 of them among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .embedding import embeds
@@ -50,7 +51,7 @@ from .invariants import (
     signature,
     top_defect_upper_bound,
 )
-from .trees import PlaneTree, _reduction_texts, enumerate_trees
+from .trees import PlaneTree, _reduction_texts, enumerate_trees, parse
 
 __all__ = [
     "Universe",
@@ -79,14 +80,15 @@ class Universe:
         return len(self.trees)
 
 
+def _trees(nmax: int) -> Iterator[PlaneTree]:
+    return chain.from_iterable(map(enumerate_trees, range(1, nmax + 1)))
+
+
 def universe(nmax: int) -> Universe:
     """Concatenation of ``enumerate_trees(k)`` for k = 1..nmax."""
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
-    trees = []
-    for k in range(1, nmax + 1):
-        trees.extend(enumerate_trees(k))
-    return Universe(nmax, tuple(trees))
+    return Universe(nmax, tuple(_trees(nmax)))
 
 
 @dataclass(frozen=True)
@@ -104,21 +106,50 @@ class PosetReport:
     stats: dict
 
 
+def _covers(trees) -> Iterator[tuple[PlaneTree, list[int]]]:
+    """Each tree of ``trees`` with the positions in ``trees`` of its covers.
+
+    ``trees`` runs through ``enumerate_trees(n)`` for n = 1, 2, ..., so
+    index i within size n is shape rank ``i >> n`` and sign word ``s``,
+    vertex v at bit n-1-v, '-' as 1.  Removing v keeps the other vertices'
+    preorder: s goes to ``(s >> L+1) << L | s & (2^L - 1)`` with L = n-1-v,
+    and the shape to the reduced shape's rank, looked up once per shape
+    and v.  Covers come in the order of :func:`hopfarb.trees.reductions`.
+    """
+    here: dict = {}  # parents -> shape rank, of this size
+    n = start = prev = 0  # the size, and the positions of its first tree and the one before
+    for pos, t in enumerate(trees):
+        if t.size != n:
+            n, ranks, here, prev, start = t.size, here, {}, start, pos
+        i = pos - start
+        s = i & ((1 << n) - 1)
+        if not s:  # the shape's all-'+' tree
+            here[t.parents] = i >> n
+            plan = []
+            for v, text in _reduction_texts(t):
+                r = parse(text)
+                # One DP call per shape and v cross-checks the reduction, and lets
+                # the benchmark's self-test flip ``minors.embeds``.
+                if embeds(r, t):
+                    L = n - 1 - v
+                    plan.append((prev + (ranks[r.parents] << n - 1), L, (1 << L) - 1))
+        yield t, [base + (s >> L + 1 << L | s & low) for base, L, low in plan]
+
+
 def _order(u: Universe) -> tuple[list[int], list[int]]:
     """Hasse rows and strict up-sets of the trees of ``u``, by a backward walk.
 
-    Bit ``j`` of ``above[i]`` is set when ``trees[i]`` is a one-vertex
-    reduction of ``trees[j]``, and of ``up[i]`` when ``trees[i]`` embeds
-    strictly into ``trees[j]``.  Reductions come earlier in the
-    enumeration, so ``up[j]`` is complete when the walk reaches ``j``.
+    Bit ``j`` of ``above[i]`` is set when ``trees[i]`` is a cover of
+    ``trees[j]``, and of ``up[i]`` when ``trees[i]`` embeds strictly into
+    ``trees[j]``.  Covers come earlier, so ``up[j]`` is complete when the
+    walk reaches ``j``.
     """
-    index = {t.text: i for i, t in enumerate(u.trees)}
-    above = [0] * len(u.trees)
-    up = [0] * len(u.trees)
-    plans: dict = {}
-    for j in range(len(u.trees) - 1, -1, -1):
+    covers = [c for _, c in _covers(u.trees)]
+    above = [0] * len(covers)
+    up = [0] * len(covers)
+    for j in range(len(covers) - 1, -1, -1):
         reach = 1 << j | up[j]
-        for r in {index[x] for x in _reduction_texts(u.trees[j], plans)}:
+        for r in covers[j]:
             above[r] |= 1 << j
             up[r] |= reach
     return above, up
@@ -240,54 +271,30 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     bound is not certified.  Sorted by canonical text.
 
     The order is generated by one-vertex reductions, so any violator
-    strictly below a tree lies at or below one of its covers.  One pass
-    per size keeps, for each tree with a violator at or below it, one
-    minimal violator there, its inherited witness: the witness of its
-    first reduction that has one.  A tree that inherits none is minimal
-    exactly when it violates.  This holds for any predicate, monotone or
-    not, as a tree that satisfies ``p`` still passes its witness up.  A
-    knots-only predicate is not violated by a multi-component link, so
-    its minimal violators are knots with no violating knot below them;
-    links pass witnesses up too (every cover of a 4-vertex knot is one).
-
-    The embedding DP confirms each inherited witness once, although it
-    embeds by transitivity.  The call cross-checks the covers against
-    the DP, and the benchmark's self-test flips ``minors.embeds`` and
-    needs the mined family to change; it can go once that seam moves.
+    strictly below a tree lies at or below one of its covers.  One walk up
+    the covers flags each tree with a violator at or below it: a tree
+    with a flagged cover, or else one that violates ``p``, and then it is
+    minimal.  This holds for any predicate, monotone or not, as a tree
+    that satisfies ``p`` still passes its covers' flags up.  A knots-only
+    predicate is not violated by a multi-component link, so its minimal
+    violators are knots with no violating knot below them; links pass
+    flags up too (every cover of a 4-vertex knot is one).  The embedding
+    DP confirms each cover once per shape, for all its sign words.
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     minimal: list[PlaneTree] = []
-    plans: dict = {}
-    below: dict[str, PlaneTree] = {}  # the previous size's inherited witnesses
-    for k in range(1, nmax + 1):
-        here = {}
-        for t in enumerate_trees(k):
-            w = next((below[x] for x in _reduction_texts(t, plans) if x in below), None)
-            if w is not None and embeds(w, t):
-                here[t.text] = w
-            elif not (p.knots_only and boundary_components(t) != 1) and not evaluate(p, t):
-                minimal.append(t)
-                here[t.text] = t
-        below = here
+    below = bytearray()  # per tree so far: a violator lies at or below it
+    for t, covers in _covers(_trees(nmax)):
+        hit = any(below[c] for c in covers)
+        if not hit and not (p.knots_only and boundary_components(t) != 1) and not evaluate(p, t):
+            minimal.append(t)
+            hit = True
+        below.append(hit)
     return sorted(minimal, key=lambda t: t.text)
 
 
 _QUANTITIES = {"betti": betti, "genus": genus}
-
-
-def _covers_hold(q, nmax: int) -> bool:
-    """Whether no tree up to ``nmax`` has a one-vertex reduction of larger ``q``."""
-    plans: dict = {}
-    below: dict[str, int] = {}
-    for k in range(1, nmax + 1):
-        here = {}
-        for t in enumerate_trees(k):
-            value = here[t.text] = q(t)
-            if any(below[x] > value for x in _reduction_texts(t, plans)):
-                return False
-        below = here
-    return True
 
 
 def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
@@ -300,20 +307,25 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     genus, and it injects vertices, which cannot raise the Betti number.
 
     A failing pair has a failing cover on the chain of reductions between
-    its trees, so the covers are checked first, one size at a time, and
-    only a failing cover makes the scan walk the rows of :func:`poset`.
-    With no failure, bound 7 takes about 0.3 s and 18 MiB in process on a
-    shared 2-core host.
+    its trees, so each tree is first compared with its covers, and only a
+    failing cover makes the scan walk the rows of :func:`poset`.  With no
+    failure, bound 7 takes about 0.15 s and 16 MiB in process on a shared
+    2-core host.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}")
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     q = _QUANTITIES[quantity]
-    if _covers_hold(q, nmax):
+    values = []
+    for t, covers in _covers(_trees(nmax)):
+        values.append(q(t))
+        if any(values[c] > values[-1] for c in covers):
+            break
+    else:
         return []
     u = universe(nmax)
-    values = [q(t) for t in u.trees]
+    values += map(q, u.trees[len(values) :])
     _, up = _order(u)
     return [(i, j) for i, j in _pairs(up) if values[i] > values[j]]
 

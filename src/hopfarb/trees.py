@@ -23,9 +23,9 @@ canonical texts are.
 :class:`PlaneTree` is the one tree representation, and its vertices are
 always numbered in preorder: vertex ``v`` is the ``v``-th sign of the
 canonical text.  So each reduction is a splice of that text, and the
-reduced tree comes from :func:`parse`.  The splice depends only on the
-shape, so each shape's all-'+' text is spliced once per removable vertex
-and the templates are filled with each tree's signs.  Nothing here
+reduced tree comes from :func:`parse`.  Removing a vertex keeps the
+preorder of the others, so :mod:`hopfarb.minors` finds every tree's
+reductions by index arithmetic on the enumeration below.  Nothing here
 recurses, so tree depth and size are bounded by memory alone.
 ``enumerate_trees`` builds
 and checks one tree per shape, after an unranking walk of O(n) steps on
@@ -345,36 +345,16 @@ def remove_vertex(t: PlaneTree, v: int) -> PlaneTree:
     return parse(_splice(t.text, _offsets(t)[v]))
 
 
-def _reduction_plan(t: PlaneTree) -> Iterator[tuple[int, str]]:
-    # ``(v, template)`` per reduction of ``t``'s shape, in the order of
-    # `reductions`: the all-'+' text spliced without ``v``, with a '%s'
-    # slot for each remaining sign, which keep their preorder.
+def _reduction_texts(t: PlaneTree) -> Iterator[tuple[int, str]]:
+    # ``(v, remove_vertex(t, v).text)`` per vertex that it accepts, in the
+    # order of `reductions`, each a splice of ``t``'s text.
     removable = [v for v in range(t.size) if not t.children[v]] if t.size > 1 else []
     if len(t.children[t.root]) == 1:
         removable.append(t.root)
     removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
-    shape = t.text.replace("-", "+")
     offset = _offsets(t)
     for v in removable:
-        yield v, _splice(shape, offset[v]).replace("+", "%s")
-
-
-_SIGNS = str.maketrans("", "", "(),")
-
-
-def _reduction_texts(t: PlaneTree, plans: dict | None = None) -> Iterator[str]:
-    # Canonical texts of the reductions of ``t``, in the order of `reductions`.
-    # A sweep passes one ``plans`` dict, which keeps each shape's plan under
-    # its ``parents``; without it the plan is made lazily for ``t`` alone.
-    if plans is None:
-        plan = _reduction_plan(t)
-    else:
-        plan = plans.get(t.parents)
-        if plan is None:
-            plan = plans[t.parents] = list(_reduction_plan(t))
-    signs = tuple(t.text.translate(_SIGNS))
-    for v, template in plan:
-        yield template % (signs[:v] + signs[v + 1 :])
+        yield v, _splice(t.text, offset[v])
 
 
 def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
@@ -385,7 +365,7 @@ def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
     with repeats.  The reflexive-transitive closure of this step is the
     embedding order.
     """
-    return map(parse, _reduction_texts(t))
+    return (parse(text) for _, text in _reduction_texts(t))
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,13 @@ def test_audit_reports_violations(monkeypatch, capsys):
     expected = [(i, j) for i, j in rel if genus(u.trees[i]) < genus(u.trees[j])]
     assert 0 < len(expected) < len(rel)
     assert minors.audit_monotone("genus", 3) == expected
+    # The universe is built once, by the library's fallback scan; the CLI
+    # finds the failing trees by their universe indices.
+    built = []
+    universe = minors.universe
+    monkeypatch.setattr(minors, "universe", lambda n: built.append(n) or universe(n))
     assert run(["audit", "--quantity", "genus", "--max-size", "3"]) == 0
+    assert built == [3]
     out, _ = out_of(capsys)
     lines = [f"{u.trees[i].text}\t{u.trees[j].text}" for i, j in expected]
     assert out == "\n".join(lines) + f"\nviolations: {len(expected)}\n"

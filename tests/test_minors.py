@@ -24,7 +24,17 @@ from hopfarb.minors import (
     poset_to_dot,
     universe,
 )
-from hopfarb.trees import count, enumerate_trees, parse, random_tree, tree_from_json_obj
+from hopfarb.trees import (
+    _reduction_texts,
+    count,
+    enumerate_trees,
+    parse,
+    random_tree,
+    remove_vertex,
+    tree_from_json_obj,
+    unrank,
+)
+from splice_reference import reductions as reference_reductions
 
 
 # --- universes ---------------------------------------------------------------
@@ -246,24 +256,43 @@ def test_minimal_excluded_matches_pairwise_definition(u5, pairwise_relation):
     assert below_satisfier["genus_le"] == below_satisfier["size_le"] == 0
 
 
-@pytest.mark.parametrize("spec,calls", [("genus_le:1", 2_944), ("all_positive", 3_172), ("size_le:3", 3_136)])
-def test_mining_calls_the_dp_through_minors(monkeypatch, spec, calls):
-    # One call per tree that inherits a witness through a reduction, and
-    # the witness is a minimal violator.  For a minor-monotone predicate
-    # those trees are the violators that are not minimal.  The
-    # benchmark's self-test flips ``minors.embeds`` and needs ``mine`` to
-    # call it.
-    p = Predicate.parse(spec)
-    violators = sum(1 for n in range(1, 7) for t in enumerate_trees(n) if not evaluate(p, t))
+def test_cover_indices_match_the_reference_up_to_7():
+    # Every cover index of the sweeps' walk, unranked in the previous
+    # size, is the tree of the matching remove_vertex call and of the
+    # structural reference, for every tree with at most 7 vertices.
+    start = [0, 0]  # start[n]: the universe position of the first tree of size n
+    for n in range(1, 7):
+        start.append(start[-1] + count(n))
+    for t, covers in minors._covers(minors._trees(7)):
+        got = [unrank(t.size - 1, c - start[t.size - 1]) for c in covers]
+        assert got == [remove_vertex(t, v) for v, _ in _reduction_texts(t)] == reference_reductions(t)
+
+
+def _all_positive_shapes(n):
+    return [unrank(n, rank << n) for rank in range(count(n) >> n)]
+
+
+@pytest.mark.parametrize("spec", ["genus_le:1", "all_positive", "size_le:3"])
+def test_mining_calls_the_dp_through_minors(monkeypatch, spec):
+    # One call per shape and removable vertex, whatever the predicate:
+    # the DP confirms each cover of a shape's all-'+' tree once, and a
+    # cover it rejects is dropped for every sign word.  The benchmark's
+    # self-test flips ``minors.embeds`` and needs ``mine`` to call it.
     seen = []
-    monkeypatch.setattr(minors, "embeds", lambda a, b: seen.append(a) or embeds(a, b))
-    mined = minimal_excluded(p, 6)
-    assert len(seen) == violators - len(mined) == calls
-    assert {a.text for a in seen} <= {t.text for t in mined}
+    monkeypatch.setattr(minors, "embeds", lambda a, b: seen.append((a, b)) or embeds(a, b))
+    for nmax, calls in ((6, 274), (7, 988)):
+        seen.clear()
+        minimal_excluded(Predicate.parse(spec), nmax)
+        shapes = [t for n in range(2, nmax + 1) for t in _all_positive_shapes(n)]
+        assert len(seen) == sum(len(reference_reductions(t)) for t in shapes) == calls
+        for a, b in seen:
+            assert set(a.labels) == set(b.labels) == {1}
+            assert a in reference_reductions(b)
 
 
 def test_a_flipped_dp_changes_the_mined_family(monkeypatch):
-    # The benchmark's self-test, in process.
+    # The benchmark's self-test, in process: a flipped DP rejects every
+    # cover, so every violator becomes minimal.
     for spec in ("all_positive", "genus_le:1"):
         p = Predicate.parse(spec)
         mined = minimal_excluded(p, 6)
@@ -273,10 +302,8 @@ def test_a_flipped_dp_changes_the_mined_family(monkeypatch):
 
 
 def test_the_dp_decides_inherited_witnesses(monkeypatch):
-    # With a DP that finds nothing, every violator is minimal: a witness
-    # inherited through a reduction is not taken on trust.  (Flipped,
-    # genus_le:1 keeps its family: all 48 minimal violators have 4
-    # vertices, and no larger violator hosts all 48.)
+    # With a DP that finds nothing, every violator is minimal: the covers
+    # are confirmed by the DP, not taken on trust, so no flag passes up.
     p = Predicate.parse("genus_le:1")
     violators = [t for n in range(1, 7) for t in enumerate_trees(n) if not evaluate(p, t)]
     monkeypatch.setattr(minors, "embeds", lambda a, b: False)
@@ -284,10 +311,12 @@ def test_the_dp_decides_inherited_witnesses(monkeypatch):
 
 
 # SHA-256 of the canonical texts, one per line.  They were taken from
-# an earlier search that tested each violator with the DP against the
-# smaller minimal violators, so they pin that passing witnesses up the
-# covers changes no family.  At nmax 7 the knots-only pins (2, 18 and
-# 300 minimal knots) check that links pass the witness up.
+# earlier searches: the nmax 6 and 7 pins from one that tested each
+# violator with the DP against the smaller minimal violators, the nmax 8
+# pins from one that passed a minimal violator up the covers by text.
+# So they pin that flagging along the cover indices changes no family.
+# At nmax 7 the knots-only pins (2, 18 and 300 minimal knots) check that
+# links pass the flag up.
 MINED_SHA256 = {
     ("size_le:3", 6): "0bc1e73a245ef0208c1a06718b841d8926c97eb7851611c25875a678e25fb6b2",
     ("genus_le:1", 6): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
@@ -303,6 +332,9 @@ MINED_SHA256 = {
     ("top_defect_ub_le:0", 7): "377b973afa4c53899b4edf15ce329c5c987fc070ccd074a96b71332f7d0e3163",
     ("top_defect_ub_le:1", 7): "99b9597f779f28e4fa7aacd6835ab3aa10e33556b0761713873e90491e0f8d39",
     ("top_defect_ub_le:2", 7): "5c943de34e748754efa6f7ca97c39d78163cdc084356ed4afbc6bed01f7d8091",
+    ("genus_le:2", 8): "a814213ebeafb5c846ff4d5e92564fd4bc849d9007ba536b4ac2e735692acb48",
+    ("det_le:3", 8): "07ded2b8c7ad7f29deee7a078dcfc8e332bd17d2518d616cc46da1f57da98527",
+    ("top_defect_ub_le:0", 8): "4d8b087eff5d83ea11039edccab6161aef2152434c0f96983c9defe53e486488",
 }
 
 

@@ -10,7 +10,6 @@ from hopfarb.embedding import embeds
 from hopfarb.trees import (
     PlaneTree,
     TreeSyntaxError,
-    _reduction_texts,
     count,
     enumerate_trees,
     parse,
@@ -426,15 +425,12 @@ def test_reductions_remove_one_vertex():
 
 
 def test_reductions_match_structural_reference_up_to_7():
-    # Each shape's plan is made from its first, all-'+' tree and filled
-    # with the signs of the other stamped trees of that shape.
-    plans = {}
+    # The cover indices of the sweeps are checked against the same
+    # reference in tests/test_minors.py.
     for n in range(1, 8):
         for t in enumerate_trees(n):
             expected = [r.text for r in reference_reductions(t)]
             assert [r.text for r in reductions(t)] == expected
-            assert list(_reduction_texts(t, plans)) == expected
-    assert len(plans) == sum(count(n) >> n for n in range(1, 8))
 
 
 @settings(deadline=None)
@@ -442,11 +438,6 @@ def test_reductions_match_structural_reference_up_to_7():
 def test_reduction_operations_match_structural_reference(t):
     expected = [r.text for r in reference_reductions(t)]
     assert [r.text for r in reductions(t)] == expected
-    # A plan made from the same shape with every sign flipped, filled
-    # with the signs of a parsed tree.
-    plans = {}
-    list(_reduction_texts(PlaneTree(tuple(-l for l in t.labels), t.parents), plans))
-    assert list(_reduction_texts(parse(t.text), plans)) == expected
     for v in range(t.size):
         if len(t.children[v]) <= 1 and t.size > 1:
             assert remove_vertex(t, v).text == splice(t, {v}).text
