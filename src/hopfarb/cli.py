@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import sys
 
@@ -41,7 +42,8 @@ def _limit(text: str) -> int:
     return limit
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on the first run, not at import, then kept
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hopfarb",
         description="Signed plane trees, their minor order, and invariants of "
@@ -229,11 +231,10 @@ def _merge_tree_values(argv: list[str]) -> list[str]:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit status."""
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_tree_values(argv))
+        args = _parser().parse_args(_merge_tree_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

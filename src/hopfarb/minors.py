@@ -12,17 +12,18 @@ as a stand-in for boundary-link equivalence.
 
 The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
 trees of :func:`hopfarb.trees.reductions` are its covers.  One walk up
-the enumeration gives every sweep each tree's covers by index
-arithmetic on its shape rank and sign word, with the reduced shapes
-looked up, and confirmed by the embedding DP, once per shape; nothing
+the shapes gives every sweep the covers: removing a vertex sends a
+shape to a smaller one, looked up and confirmed by the embedding DP
+once, and each sign word to a sign word by index arithmetic; nothing
 is keyed by tree text.  The relation table walks back down with two
 bitset rows per tree, the trees covering it and its strict up-set, so
 reading the set bits row by row gives both pair lists in output order.
 It grows quadratically with the universe, so callers pick the bound
-(6: about 3.2k trees).  Audits and mining keep one value or flag per
-tree and no trees.  An audit compares each tree with its covers and
-builds the table only when a cover fails.  Mining flags each tree with
-a violator at or below it; a violator with no flagged cover is minimal.
+(6: about 3.2k trees).  An audit keeps one value per tree and no trees,
+compares each tree with its covers, and builds the table only when a
+cover fails.  Mining keeps a flag per sign word of two sizes, a
+violator at or below it, spread along each cover by slicing; it builds
+a tree only for an unflagged word, and a violator there is minimal.
 Fingerprint classes compute each fingerprint once per unrooted,
 unordered signed tree (189 of them among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterator
 
 from .embedding import embeds
@@ -51,7 +52,15 @@ from .invariants import (
     signature,
     top_defect_upper_bound,
 )
-from .trees import PlaneTree, _reduction_texts, enumerate_trees, parse
+from .trees import (
+    PlaneTree,
+    _reduction_texts,
+    _shapes,
+    _sign_words,
+    _stamped,
+    enumerate_trees,
+    parse,
+)
 
 __all__ = [
     "Universe",
@@ -106,34 +115,58 @@ class PosetReport:
     stats: dict
 
 
-def _covers(trees) -> Iterator[tuple[PlaneTree, list[int]]]:
-    """Each tree of ``trees`` with the positions in ``trees`` of its covers.
+def _walk(sizes) -> Iterator[tuple[PlaneTree, list[tuple[int, int]]]]:
+    """Each shape's all-'+' tree with its covers, for n in ``sizes`` (1, 2, ...).
 
-    ``trees`` runs through ``enumerate_trees(n)`` for n = 1, 2, ..., so
-    index i within size n is shape rank ``i >> n`` and sign word ``s``,
+    Tree i of size n is shape rank ``i >> n`` and sign word ``s = i & (2^n - 1)``,
     vertex v at bit n-1-v, '-' as 1.  Removing v keeps the other vertices'
     preorder: s goes to ``(s >> L+1) << L | s & (2^L - 1)`` with L = n-1-v,
-    and the shape to the reduced shape's rank, looked up once per shape
-    and v.  Covers come in the order of :func:`hopfarb.trees.reductions`.
+    and the shape to a shape of size n-1.  So a cover is ``(R, L)``, R that
+    shape's rank, in the order of :func:`hopfarb.trees.reductions`.
     """
     here: dict = {}  # parents -> shape rank, of this size
+    for n in sizes:
+        ranks, here = here, {}
+        for rank, shape in enumerate(_shapes(n)):
+            here[shape.parents] = rank
+            covers = []
+            for v, text in _reduction_texts(shape):
+                r = parse(text)
+                # One DP call per shape and v cross-checks the reduction for all
+                # sign words, and lets the benchmark's self-test flip ``minors.embeds``.
+                if embeds(r, shape):
+                    covers.append((ranks[r.parents], n - 1 - v))
+            yield shape, covers
+
+
+def _covers(trees) -> Iterator[tuple[PlaneTree, list[int]]]:
+    """Each tree of ``trees``, which runs through ``enumerate_trees(n)`` for
+    n = 1, 2, ..., with the positions in ``trees`` of its covers."""
+    walk = _walk(count(1))  # advanced at each shape's first tree, so no further than ``trees``
     n = start = prev = 0  # the size, and the positions of its first tree and the one before
     for pos, t in enumerate(trees):
         if t.size != n:
-            n, ranks, here, prev, start = t.size, here, {}, start, pos
-        i = pos - start
-        s = i & ((1 << n) - 1)
-        if not s:  # the shape's all-'+' tree
-            here[t.parents] = i >> n
-            plan = []
-            for v, text in _reduction_texts(t):
-                r = parse(text)
-                # One DP call per shape and v cross-checks the reduction, and lets
-                # the benchmark's self-test flip ``minors.embeds``.
-                if embeds(r, t):
-                    L = n - 1 - v
-                    plan.append((prev + (ranks[r.parents] << n - 1), L, (1 << L) - 1))
+            n, prev, start = t.size, start, pos
+        s = (pos - start) & ((1 << n) - 1)
+        if not s:
+            plan = [(prev + (r << n - 1), L, (1 << L) - 1) for r, L in next(walk)[1]]
         yield t, [base + (s >> L + 1 << L | s & low) for base, L, low in plan]
+
+
+def _spread(flags: bytes, L: int):
+    """Per-word ``flags`` of a size n-1 shape, read by the 2^n words of size n.
+
+    Word s reads ``flags[(s >> L+1) << L | s & (2^L - 1)]``: each run of
+    2^L flags is doubled, by 2^(n-1-L) chunk copies or by 2^(L+1) strided
+    slice assignments, whichever are fewer.
+    """
+    step = 1 << L
+    if 2 * step >= len(flags) // step:
+        return b"".join(flags[i : i + step] * 2 for i in range(0, len(flags), step))
+    out = bytearray(2 * len(flags))
+    for low in range(step):
+        out[low :: 2 * step] = out[step + low :: 2 * step] = flags[low::step]
+    return out
 
 
 def _order(u: Universe) -> tuple[list[int], list[int]]:
@@ -171,9 +204,10 @@ def poset(u: Universe) -> PosetReport:
 
     Same-size pairs are excluded by definition (i != j and equal sizes
     force equal trees).  The Hasse pairs are the one-vertex reductions.
-    The rows grow quadratically with the universe: in process on a
-    shared 2-core host, bound 6 (3,238 trees) takes about 0.1 s and
-    22 MiB, bound 7 (20,134 trees) about 1.4 s and 87 MiB.
+    The rows grow quadratically with the universe.  On a shared 2-core
+    host, bound 6 (3,238 trees) takes about 0.08 s and 22 MiB peak RSS in
+    process (0.17 s and 27 MiB as a CLI run with both exports), bound 7
+    (20,134 trees) about 0.9 s and 87 MiB (1.0 s and 142 MiB).
     """
     above, up = _order(u)
     pairs = tuple(_pairs(up))
@@ -272,10 +306,12 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
 
     The order is generated by one-vertex reductions, so any violator
     strictly below a tree lies at or below one of its covers.  One walk up
-    the covers flags each tree with a violator at or below it: a tree
-    with a flagged cover, or else one that violates ``p``, and then it is
-    minimal.  This holds for any predicate, monotone or not, as a tree
-    that satisfies ``p`` still passes its covers' flags up.  A knots-only
+    the shapes keeps a flag per sign word, a violator at or below it: a
+    shape's words take their covers' flags (the reduced shape's flags with
+    bit L doubled, by slicing), and only the words left unflagged are
+    built as trees and tested, so a violator among them is minimal.  This
+    holds for any predicate, monotone or not, as a tree that satisfies
+    ``p`` still passes its covers' flags up.  A knots-only
     predicate is not violated by a multi-component link, so its minimal
     violators are knots with no violating knot below them; links pass
     flags up too (every cover of a 4-vertex knot is one).  The embedding
@@ -284,13 +320,22 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     minimal: list[PlaneTree] = []
-    below = bytearray()  # per tree so far: a violator lies at or below it
-    for t, covers in _covers(_trees(nmax)):
-        hit = any(below[c] for c in covers)
-        if not hit and not (p.knots_only and boundary_components(t) != 1) and not evaluate(p, t):
-            minimal.append(t)
-            hit = True
-        below.append(hit)
+    n, below, layer = 0, b"", b""  # a flag per tree of the sizes n-1 and n: a violator at or below
+    for shape, covers in _walk(range(1, nmax + 1)):
+        if shape.size != n:
+            n, below, layer = shape.size, layer, bytearray()
+            words = list(_sign_words(n))
+            width = 1 << n - 1
+        hit = 0
+        for r, L in covers:
+            hit |= int.from_bytes(_spread(below[r * width : (r + 1) * width], L), "big")
+        flags = bytearray(hit.to_bytes(1 << n, "big"))
+        free = [s for s, f in enumerate(flags) if not f]
+        for s, t in zip(free, _stamped(shape, map(words.__getitem__, free))):
+            if not (p.knots_only and boundary_components(t) != 1) and not evaluate(p, t):
+                minimal.append(t)
+                flags[s] = 1
+        layer += flags
     return sorted(minimal, key=lambda t: t.text)
 
 
@@ -309,7 +354,7 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     A failing pair has a failing cover on the chain of reductions between
     its trees, so each tree is first compared with its covers, and only a
     failing cover makes the scan walk the rows of :func:`poset`.  With no
-    failure, bound 7 takes about 0.15 s and 16 MiB in process on a shared
+    failure, bound 7 takes about 0.11 s and 17 MiB in process on a shared
     2-core host.
     """
     if quantity not in _QUANTITIES:

@@ -33,6 +33,7 @@ O(n)-bit integers (O(n^2) bit operations: its first tree takes about
 0.1 s at n = 10^4 and 10 s at n = 10^5 on a shared 2-core host).  It
 stamps the shape's 2^n trees from that one, unchecked: they share its
 ``parents``, ``children`` and ``end``, and fill its text with their signs.
+Mining stamps only the sign words it tests.
 :func:`tree_to_json` writes JSON text in one pass over the canonical text,
 at any depth; reading it back goes through ``json.loads`` (which recurses
 per tree level, to about 500) and then :func:`tree_from_json_obj`.
@@ -258,6 +259,28 @@ def _unrank_shape(n: int, rank: int) -> tuple[int | None, ...]:
     return tuple(parents)
 
 
+def _shapes(n: int) -> Iterator[PlaneTree]:
+    # The all-'+' tree of each of the Catalan(n-1) shapes, checked, by rank.
+    return (PlaneTree((POSITIVE,) * n, _unrank_shape(n, rank)) for rank in range(count(n) >> n))
+
+
+def _sign_words(n: int) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:
+    # (labels, sign characters) of each sign word with n vertices, in order.
+    return zip(product((POSITIVE, NEGATIVE), repeat=n), product("+-", repeat=n))
+
+
+def _stamped(shape: PlaneTree, words) -> Iterator[PlaneTree]:
+    # The trees of ``shape`` with the given ``_sign_words`` entries.
+    parents, children, end = shape.parents, shape.children, shape.end
+    template = shape.text.replace("+", "%s")  # one slot per vertex, in preorder
+    for labels, signs in words:
+        t = object.__new__(PlaneTree)  # no __post_init__: the shape is checked
+        d = t.__dict__  # where the fields and cached properties live
+        d["labels"], d["parents"], d["children"], d["end"] = labels, parents, children, end
+        d["text"] = template % signs
+        yield t
+
+
 def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     """Yield every signed plane tree with exactly ``n`` vertices once.
 
@@ -265,16 +288,8 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     has length ``count(n)``; its ``i``-th tree is ``unrank(n, i)``.  Each
     tree is stamped from its checked shape (see the module docstring).
     """
-    for rank in range(count(n) >> n):  # Catalan(n-1) shapes
-        shape = PlaneTree((POSITIVE,) * n, _unrank_shape(n, rank))
-        parents, children, end = shape.parents, shape.children, shape.end
-        template = shape.text.replace("+", "%s")  # one slot per vertex, in preorder
-        for labels, signs in zip(product((POSITIVE, NEGATIVE), repeat=n), product("+-", repeat=n)):
-            t = object.__new__(PlaneTree)  # no __post_init__: the shape is checked
-            d = t.__dict__  # where the fields and cached properties live
-            d["labels"], d["parents"], d["children"], d["end"] = labels, parents, children, end
-            d["text"] = template % signs
-            yield t
+    for shape in _shapes(n):
+        yield from _stamped(shape, _sign_words(n))
 
 
 def unrank(n: int, idx: int) -> PlaneTree:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfarb import minors
+from hopfarb import cli, minors
 from hopfarb.cli import run
 from hopfarb.invariants import genus
 from hopfarb.trees import count, random_tree
@@ -405,6 +405,28 @@ def test_jobs_do_not_change_output(capsys):
     two, _ = out_of(capsys)
     assert one == two
     assert one.startswith("i,j\n")
+
+
+def test_runs_in_one_process_match_fresh_processes():
+    # The parser is built on the first run, not at import, and then kept:
+    # after a usage error and a domain error, each run still prints what
+    # a fresh process prints.
+    code = "import hopfarb.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+    cli._parser.cache_clear()
+    usage, domain = ["mine", "--max-size", "3"], ["parse", "--tree", "+("]
+    argvs = [usage, domain, *map(str.split, BENCHMARK_GOLDEN)]
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "hopfarb", *argv], capture_output=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(run(argv))
+        got = (codes[-1], out.getvalue().encode(), err.getvalue().encode())
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [2, 1] + [0] * len(BENCHMARK_GOLDEN)
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_import_starts_no_process_pool():

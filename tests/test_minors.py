@@ -268,6 +268,39 @@ def test_cover_indices_match_the_reference_up_to_7():
         assert got == [remove_vertex(t, v) for v, _ in _reduction_texts(t)] == reference_reductions(t)
 
 
+def test_spread_matches_the_word_map():
+    # For every n <= 9 and L: word s of size n reads flag
+    # (s >> L+1) << L | s & (2^L - 1) of size n-1.  The flags are distinct
+    # bytes, so each read is checked, not only its 0 or 1.
+    strided = set()
+    for n in range(1, 10):
+        flags = bytes(range(1 << n - 1))
+        for L in range(n):
+            want = bytes(flags[(s >> L + 1) << L | s & ((1 << L) - 1)] for s in range(1 << n))
+            assert bytes(minors._spread(flags, L)) == want, (n, L)
+            strided.add(2 * L + 2 < n)  # the strided branch, else chunk copies
+    assert strided == {False, True}
+
+
+@pytest.mark.parametrize(
+    "spec,evaluated",
+    [("genus_le:1", (294, 550)), ("all_positive", (66, 198)), ("top_defect_ub_le:1", (262, 262))],
+)
+def test_mining_builds_only_the_trees_it_evaluates(monkeypatch, spec, evaluated):
+    # Mining walks shapes and stamps a tree only for a sign word with no
+    # violator at or below any of its covers; no size is enumerated.
+    def no_enumeration(n):
+        raise AssertionError("enumerated a size")
+
+    seen = []
+    monkeypatch.setattr(minors, "enumerate_trees", no_enumeration)
+    monkeypatch.setattr(minors, "evaluate", lambda p, t: seen.append(t) or evaluate(p, t))
+    for nmax, calls in zip((6, 7), evaluated):
+        seen.clear()
+        minimal_excluded(Predicate.parse(spec), nmax)
+        assert len(set(seen)) == len(seen) == calls
+
+
 def _all_positive_shapes(n):
     return [unrank(n, rank << n) for rank in range(count(n) >> n)]
 
