@@ -30,6 +30,7 @@ from .trees import (
 
 DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
 DEFAULT_ORACLE_GUARD = 8  # largest host, in vertices, of oracle-embed
+SIZE_GUARD = 10**5  # largest size of count, enum, random and classes; their first step costs about n^2
 
 
 def _limit(text: str) -> int:
@@ -122,6 +123,12 @@ def _guard(args, default: int) -> int:
     return args.guard
 
 
+def _size(n: int) -> int:
+    if n > SIZE_GUARD:
+        raise ValueError(f"size guard exceeded: tree size {n} > guard {SIZE_GUARD}")
+    return n
+
+
 def _check_universe(nmax: int, guard: int) -> None:
     if nmax > guard:
         raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {guard}")
@@ -156,12 +163,12 @@ def _dispatch(args) -> int:
             print(tree_to_json(t) if args.format == "json" else t.text)
     elif args.verb == "enum":
         limit = args.limit
-        for i, t in enumerate(enumerate_trees(args.size)):
+        for i, t in enumerate(enumerate_trees(_size(args.size))):
             if limit is not None and i >= limit:
                 break
             print(t.text)
     elif args.verb == "count":
-        print(decimal.Decimal(count(args.n)))  # str(int) stops at 4,300 digits
+        print(decimal.Decimal(count(_size(args.n))))  # str(int) stops at 4,300 digits
     elif args.verb == "inv":
         for t in _input_trees(args):
             fp = fingerprint(t)
@@ -209,10 +216,10 @@ def _dispatch(args) -> int:
             print(f"{_universe_tree(i).text}\t{_universe_tree(j).text}")
         print(f"violations: {len(violations)}")
     elif args.verb == "classes":
-        for cls in minors.fingerprint_classes(args.size):
+        for cls in minors.fingerprint_classes(_size(args.size)):
             print(" ".join(t.text for t in cls))
     elif args.verb == "random":
-        print(random_tree(args.size, args.seed).text)
+        print(random_tree(_size(args.size), args.seed).text)
     return 0
 
 

@@ -13,9 +13,9 @@ as a stand-in for boundary-link equivalence.
 The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
 trees of :func:`hopfarb.trees.reductions` are its covers.  One walk up
 the shapes gives every sweep the covers: removing a vertex sends a
-shape to a smaller one, looked up and confirmed by the embedding DP
-once, and each sign word to a sign word by index arithmetic; nothing
-is keyed by tree text.  The relation table walks back down with two
+shape to a smaller one, found by text among those built and confirmed
+by the embedding DP once, and each sign word to a sign word by index
+arithmetic; nothing is parsed.  The relation table walks back down with two
 bitset rows per tree, the trees covering it and its strict up-set, so
 reading the set bits row by row gives both pair lists in output order.
 It grows quadratically with the universe, so callers pick the bound
@@ -29,8 +29,8 @@ unordered signed tree (189 of them among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
 order, because re-rooting and reordering only permute the basis and
 move edge units between the two slots of an edge.  Its key comes from a
-plan made once per shape (42 at size 6), the shape's centres and the
-order from each centre up from the leaves, applied to each tree's signs.
+plan made once per shape (42 at size 6), the shape hung from its one
+or two centres in one walk, applied to each tree's signs.
 All outputs are deterministic: trees in enumeration order, pair lists
 lexicographically, mined families by canonical text.
 """
@@ -59,7 +59,6 @@ from .trees import (
     _sign_words,
     _stamped,
     enumerate_trees,
-    parse,
 )
 
 __all__ = [
@@ -122,20 +121,21 @@ def _walk(sizes) -> Iterator[tuple[PlaneTree, list[tuple[int, int]]]]:
     vertex v at bit n-1-v, '-' as 1.  Removing v keeps the other vertices'
     preorder: s goes to ``(s >> L+1) << L | s & (2^L - 1)`` with L = n-1-v,
     and the shape to a shape of size n-1.  So a cover is ``(R, L)``, R that
-    shape's rank, in the order of :func:`hopfarb.trees.reductions`.
+    shape's rank, in the order of :func:`hopfarb.trees.reductions`.  The
+    DP runs on that shape as yielded one size down, found by its text.
     """
-    here: dict = {}  # parents -> shape rank, of this size
+    here: list[PlaneTree] = []  # the shapes of this size, by rank
     for n in sizes:
-        ranks, here = here, {}
-        for rank, shape in enumerate(_shapes(n)):
-            here[shape.parents] = rank
+        prev, here = here, list(_shapes(n))
+        ranks = {shape.text: R for R, shape in enumerate(prev)}
+        for shape in here:
             covers = []
             for v, text in _reduction_texts(shape):
-                r = parse(text)
+                R = ranks[text]
                 # One DP call per shape and v cross-checks the reduction for all
                 # sign words, and lets the benchmark's self-test flip ``minors.embeds``.
-                if embeds(r, shape):
-                    covers.append((ranks[r.parents], n - 1 - v))
+                if embeds(prev[R], shape):
+                    covers.append((R, n - 1 - v))
             yield shape, covers
 
 
@@ -375,10 +375,10 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in _pairs(up) if values[i] > values[j]]
 
 
-def _centre_plan(parents: tuple[int | None, ...]) -> list:
-    # Per centre of the shape (peeling leaves layer by layer ends at one
-    # or two): ``(centre, steps)``, where ``steps`` pairs each vertex that
-    # has children when rooted at the centre with them, children first.
+def _centre_plan(parents: tuple[int | None, ...]) -> tuple[list[int], list]:
+    # ``(centres, steps)``: peeling leaves layer by layer ends at one or two
+    # centres, and one walk hangs the shape from them; ``steps`` pairs each
+    # vertex that has children so hung with them, children first.
     n = len(parents)
     adj: list[list[int]] = [[] for _ in range(n)]
     for v in range(1, n):
@@ -396,33 +396,28 @@ def _centre_plan(parents: tuple[int | None, ...]) -> list:
                 if degree[w] == 1:
                     nxt.append(w)
         layer = nxt
-    plan = []
-    for root in layer:
-        order, parent = [root], [-1] * n
-        for v in order:
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
-        steps = [(v, [w for w in adj[v] if w != parent[v]]) for v in reversed(order)]
-        plan.append((root, [(v, kids) for v, kids in steps if kids]))
-    return plan
+    order, parent = layer.copy(), [-1] * n
+    parent[layer[0]], parent[layer[-1]] = layer[-1], layer[0]  # two centres hold a half each
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    steps = [(v, [w for w in adj[v] if w != parent[v]]) for v in reversed(order)]
+    return layer, [(v, kids) for v, kids in steps if kids]
 
 
-def _keyed(labels: tuple[int, ...], plan: list) -> str:
-    # AHU code as an unrooted, unordered signed tree: per centre, codes
-    # from the leaves up (sign, then the sorted codes of the children in
-    # parentheses); the key is the smaller centre code, so equal keys
-    # mean equal trees up to root and plane order.
-    leaves = ["+()" if l > 0 else "-()" for l in labels]
-    keys = []
-    for root, steps in plan:
-        code = leaves.copy()
-        for v, kids in steps:
-            inner = "".join(sorted([code[w] for w in kids]))
-            code[v] = ("+(" if labels[v] > 0 else "-(") + inner + ")"
-        keys.append(code[root])
-    return min(keys)
+def _keyed(labels: tuple[int, ...], plan: tuple[list[int], list]) -> str:
+    # AHU code as an unrooted, unordered signed tree: codes from the leaves
+    # up (sign, then the sorted codes of the children in parentheses), and
+    # the key joins the centres' codes, sorted.  Codes are prefix-free, so
+    # equal keys mean equal trees up to root and plane order.
+    centres, steps = plan
+    code = ["+()" if l > 0 else "-()" for l in labels]
+    for v, kids in steps:
+        inner = "".join(sorted([code[w] for w in kids]))
+        code[v] = ("+(" if labels[v] > 0 else "-(") + inner + ")"
+    return "".join(sorted([code[c] for c in centres]))
 
 
 def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
@@ -440,19 +435,17 @@ def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
     contributes the same factor ``-t`` to ``det(V - t V^T)`` whichever
     slot holds its unit.
     """
-    groups = defaultdict(list)
-    fingerprints = {}
+    keyed = defaultdict(list)
     plans = {}  # the trees of one shape share their ``parents``
     for t in enumerate_trees(n):
         if t.parents not in plans:
             plans[t.parents] = _centre_plan(t.parents)
-        key = _keyed(t.labels, plans[t.parents])
-        if key not in fingerprints:
-            fingerprints[key] = fingerprint(t)
-        groups[fingerprints[key]].append(t)
+        keyed[_keyed(t.labels, plans[t.parents])].append(t)
+    groups = defaultdict(list)
+    for trees in keyed.values():
+        groups[fingerprint(trees[0])] += trees
     classes = [sorted(g, key=lambda t: t.text) for g in groups.values()]
-    classes.sort(key=lambda g: g[0].text)
-    return classes
+    return sorted(classes, key=lambda g: g[0].text)
 
 
 # ---------------------------------------------------------------------------

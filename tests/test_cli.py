@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,12 +110,47 @@ def test_count_domain_error(capsys):
     ],
 )
 def test_size_beyond_comb_is_domain_error(capsys, argv):
-    # math.comb overflows for n - 1 > sys.maxsize; count reports the size.
+    # math.comb would overflow for n - 1 > sys.maxsize; the size guard stops it first.
     assert run(argv) == 1
     out, err = out_of(capsys)
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [10**6, 10**18])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "{}"],
+        ["enum", "--size", "{}", "--limit", "1"],
+        ["random", "--size", "{}", "--seed", "1"],
+        ["classes", "--size", "{}"],
+    ],
+    ids=["count", "enum", "random", "classes"],
+)
+def test_size_guard_fails_fast(capsys, monkeypatch, argv, size):
+    # Counting alone costs about n^2 (``count 1000000`` did not finish in
+    # 20 s), so the guard comes before any count, enumeration or unranking.
+    def no_work(*args):
+        raise AssertionError("counted trees before checking the size guard")
+
+    for name in ("count", "enumerate_trees", "random_tree"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(minors, "fingerprint_classes", no_work)
+    start = time.perf_counter()
+    assert run([a.format(size) for a in argv]) == 1
+    assert time.perf_counter() - start < 5
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == f"error: size guard exceeded: tree size {size} > guard {cli.SIZE_GUARD}\n"
+
+
+def test_size_guard_admits_its_bound(capsys):
+    assert run(["count", str(cli.SIZE_GUARD)]) == 0
+    out, err = out_of(capsys)
+    assert len(out.rstrip()) == 90301 and err == ""
+    assert run(["count", str(cli.SIZE_GUARD + 1)]) == 1
 
 
 def test_enum_with_limit(capsys):
@@ -469,10 +505,9 @@ def test_embed_exit_contract(sub, sup, witness):
     _run_captured(["embed", "--sub", sub, "--super", sup] + ["--witness"] * witness)
 
 
-# Sizes up to 10**4 keep each run under about a second; larger ones up to
-# 2**63 are not rejected, they only take longer, and beyond that count
-# refuses them.
-sizes = st.integers(-(10**30), 0) | st.integers(1, 10**4) | st.integers(2**64, 10**30)
+# Sizes up to 10**4 keep each run under about a second; sizes above
+# cli.SIZE_GUARD are refused before any tree is counted.
+sizes = st.integers(-(10**30), 0) | st.integers(1, 10**4) | st.integers(cli.SIZE_GUARD + 1, 10**30)
 
 
 @settings(deadline=None, max_examples=40)

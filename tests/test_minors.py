@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfarb.trees
 from hopfarb import minors
 from hopfarb.embedding import embeds
 from hopfarb.invariants import boundary_components, fingerprint
@@ -323,6 +324,24 @@ def test_mining_calls_the_dp_through_minors(monkeypatch, spec):
             assert a in reference_reductions(b)
 
 
+def test_the_walk_parses_nothing(monkeypatch):
+    # Each cover's reduced shape is looked up by text among the shapes the
+    # walk yielded one size earlier, and the DP runs on that very object.
+    def no_parse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    calls = []
+    monkeypatch.setattr(hopfarb.trees, "parse", no_parse)
+    monkeypatch.setattr(minors, "parse", no_parse, raising=False)  # a copy imported by name
+    monkeypatch.setattr(minors, "embeds", lambda a, b: calls.append((a, b)) or embeds(a, b))
+    yielded = defaultdict(list)  # size -> the shapes the walk yielded
+    for shape, covers in minors._walk(range(1, 7)):
+        yielded[shape.size].append(shape)
+    assert len(calls) == 274
+    for a, b in calls:
+        assert any(a is shape for shape in yielded[b.size - 1])
+
+
 def test_a_flipped_dp_changes_the_mined_family(monkeypatch):
     # The benchmark's self-test, in process: a flipped DP rejects every
     # cover, so every violator becomes minimal.
@@ -520,6 +539,21 @@ def test_unrooted_key_counts():
             keys.add(_keyed(t.labels, plans[t.parents]))
         counts.append(len(keys))
     assert counts == [2, 3, 6, 18, 54, 189, 700, 2778]
+
+
+def test_unrooted_key_matches_the_least_plane_text_up_to_7():
+    # The brute-force key of a tree is its least text over all roots and
+    # child orders; the centre codes must name the same classes, for one
+    # centre and for two (20 of the 42 shapes of size 6 have two).
+    for n in range(1, 8):
+        plans, pairs = {}, set()
+        for t in enumerate_trees(n):
+            if t.parents not in plans:
+                plans[t.parents] = _centre_plan(t.parents)
+            pairs.add((_keyed(t.labels, plans[t.parents]), min(_plane_texts(t))))
+        assert len(pairs) == len({k for k, _ in pairs}) == len({m for _, m in pairs}), n
+        if n == 6:
+            assert sorted(len(centres) for centres, _ in plans.values()) == [1] * 22 + [2] * 20
 
 
 def test_fingerprint_constant_on_keys(u5):
