@@ -30,6 +30,7 @@ from .trees import (
 
 DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
 DEFAULT_ORACLE_GUARD = 8  # largest host, in vertices, of oracle-embed
+CLASSES_GUARD = 9  # largest size of classes: 7-8 s and 234 MiB; each size up holds about 7x the trees
 SIZE_GUARD = 10**5  # largest size of count, enum, random and classes; their first step costs about n^2
 
 
@@ -216,7 +217,10 @@ def _dispatch(args) -> int:
             print(f"{_universe_tree(i).text}\t{_universe_tree(j).text}")
         print(f"violations: {len(violations)}")
     elif args.verb == "classes":
-        for cls in minors.fingerprint_classes(_size(args.size)):
+        n = _size(args.size)
+        if n > CLASSES_GUARD:
+            raise ValueError(f"classes guard exceeded: tree size {n} > guard {CLASSES_GUARD}")
+        for cls in minors.fingerprint_classes(n):
             print(" ".join(t.text for t in cls))
     elif args.verb == "random":
         print(random_tree(_size(args.size), args.seed).text)

@@ -24,21 +24,20 @@ compares each tree with its covers, and builds the table only when a
 cover fails.  Mining keeps a flag per sign word of two sizes, a
 violator at or below it, spread along each cover by slicing; it builds
 a tree only for an unflagged word, and a violator there is minimal.
-Fingerprint classes compute each fingerprint once per unrooted,
-unordered signed tree (189 of them among the 2,688 trees of size 6):
+Fingerprint classes compute one fingerprint per unrooted, unordered
+signed tree and its mirror (98 pairs among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
-order, because re-rooting and reordering only permute the basis and
-move edge units between the two slots of an edge.  Its key comes from a
-plan made once per shape (42 at size 6), the shape hung from its one
-or two centres in one walk, applied to each tree's signs.
+order, and the mirror, word 2^n-1-s of word s, only negates sigma.  A
+shape's keys come from one plan, the shape hung from its one or two
+centres, applied to the columns of all its sign words at once.
 All outputs are deterministic: trees in enumeration order, pair lists
 lexicographically, mined families by canonical text.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import chain, count
 from typing import Iterator
 
@@ -407,17 +406,21 @@ def _centre_plan(parents: tuple[int | None, ...]) -> tuple[list[int], list]:
     return layer, [(v, kids) for v, kids in steps if kids]
 
 
-def _keyed(labels: tuple[int, ...], plan: tuple[list[int], list]) -> str:
-    # AHU code as an unrooted, unordered signed tree: codes from the leaves
-    # up (sign, then the sorted codes of the children in parentheses), and
-    # the key joins the centres' codes, sorted.  Codes are prefix-free, so
-    # equal keys mean equal trees up to root and plane order.
+def _keys(words, plan: tuple[list[int], list]) -> list[str]:
+    # Keys of ``words`` (label tuples of one shape) as unrooted, unordered signed trees:
+    # AHU codes from the leaves up (sign, then the sorted codes of the children in
+    # parentheses), one column over the words per vertex; the centres' codes sorted and
+    # joined.  Codes are prefix-free, so equal keys mean equal trees up to root and order.
     centres, steps = plan
-    code = ["+()" if l > 0 else "-()" for l in labels]
+    opens = [["+(" if l > 0 else "-(" for l in col] for col in zip(*words)]
+    code = [[o + ")" for o in col] for col in opens]
     for v, kids in steps:
-        inner = "".join(sorted([code[w] for w in kids]))
-        code[v] = ("+(" if labels[v] > 0 else "-(") + inner + ")"
-    return "".join(sorted([code[c] for c in centres]))
+        if len(kids) == 1:  # no sort: a fifth of the key time at sizes 6 and 7
+            code[v] = [o + c + ")" for o, c in zip(opens[v], code[kids[0]])]
+        else:
+            rows = zip(opens[v], *map(code.__getitem__, kids))
+            code[v] = [o + "".join(sorted(cs)) + ")" for o, *cs in rows]
+    return ["".join(sorted(cs)) for cs in zip(*map(code.__getitem__, centres))]
 
 
 def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
@@ -433,17 +436,25 @@ def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
     Neither changes ``V + V^T``, nor the rank of ``V - V^T`` (a +-1
     diagonal congruence, as a tree has no cycles), and every edge
     contributes the same factor ``-t`` to ``det(V - t V^T)`` whichever
-    slot holds its unit.
+    slot holds its unit.  Of a tree and its mirror, every sign flipped,
+    only one is fingerprinted: the mirror keeps n, b, g, det, nullity and
+    the normalized Delta (each term of ``det(V - t V^T)`` scales by
+    ``(-1)^n``), and negates sigma, as ``-(2E - A)`` is congruent to
+    ``2E + A`` on a tree by the +-1 diagonal of its bipartition.
     """
-    keyed = defaultdict(list)
-    plans = {}  # the trees of one shape share their ``parents``
-    for t in enumerate_trees(n):
-        if t.parents not in plans:
-            plans[t.parents] = _centre_plan(t.parents)
-        keyed[_keyed(t.labels, plans[t.parents])].append(t)
-    groups = defaultdict(list)
-    for trees in keyed.values():
-        groups[fingerprint(trees[0])] += trees
+    shapes = _shapes(n)  # checks n before anything is built
+    words = list(_sign_words(n))
+    labels = [l for l, _ in words]
+    groups, of_key = {}, {}  # the trees of each fingerprint, and the group of each key met
+    for shape in shapes:
+        keys = _keys(labels, _centre_plan(shape.parents))
+        # Word 2^n-1-s flips every sign of word s, so its key is the mirror's.
+        for key, mirror, t in zip(keys, reversed(keys), _stamped(shape, words)):
+            if key not in of_key:
+                fp = fingerprint(t)
+                of_key[key] = groups.setdefault(fp, [])
+                of_key[mirror] = groups.setdefault(replace(fp, signature=-fp.signature), [])
+            of_key[key].append(t)
     classes = [sorted(g, key=lambda t: t.text) for g in groups.values()]
     return sorted(classes, key=lambda g: g[0].text)
 

@@ -400,6 +400,20 @@ def test_classes_rejects_a_size_below_one(capsys, size):
     assert out_of(capsys) == ("", "error: tree size must be >= 1\n")
 
 
+@pytest.mark.parametrize("size", [11, 1000])
+def test_classes_guard_fails_fast(capsys, monkeypatch, size):
+    # Size 9 takes seconds and 234 MiB; each size up holds about 7x as many trees.
+    def no_work(n):
+        raise AssertionError("classified trees before checking the guard")
+
+    monkeypatch.setattr(minors, "fingerprint_classes", no_work)
+    start = time.perf_counter()
+    assert run(["classes", "--size", str(size)]) == 1
+    assert time.perf_counter() - start < 5
+    guard = cli.CLASSES_GUARD
+    assert out_of(capsys) == ("", f"error: classes guard exceeded: tree size {size} > guard {guard}\n")
+
+
 def test_classes_size_7_output_is_pinned(capsys):
     # The benchmark's golden stops at size 6; this pins the next size.
     assert run(["classes", "--size", "7"]) == 0

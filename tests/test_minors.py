@@ -1,5 +1,6 @@
 import hashlib
 from collections import defaultdict
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -14,7 +15,7 @@ from hopfarb.minors import (
     Predicate,
     _REGISTRY,
     _centre_plan,
-    _keyed,
+    _keys,
     audit_monotone,
     check_excluded_family,
     evaluate,
@@ -26,7 +27,10 @@ from hopfarb.minors import (
     universe,
 )
 from hopfarb.trees import (
+    PlaneTree,
     _reduction_texts,
+    _shapes,
+    _sign_words,
     count,
     enumerate_trees,
     parse,
@@ -515,7 +519,35 @@ def _plane_texts(t):
 
 
 def _unrooted_key(t):
-    return _keyed(t.labels, _centre_plan(t.parents))
+    return _keys([t.labels], _centre_plan(t.parents))[0]
+
+
+def _mirror(t):
+    return PlaneTree(tuple(-l for l in t.labels), t.parents)
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("+", "+()"),
+        ("-(+)", "+()-()"),  # two centres
+        ("+(+(-))", "+(+()-())"),
+        ("+(+(+(+)))", "+(+())+(+())"),
+        ("+(-(+(-(+))))", "+(-(+())-(+()))"),  # single-child steps below the centre
+        ("-(+,-(+,+))", "-(+())-(+()+())"),
+        ("-(+,-(+),+(-))", "-(+()+(-())-(+()))"),  # children sorted
+    ],
+)
+def test_unrooted_key_is_the_centres_ahu_code(text, key):
+    assert _unrooted_key(parse(text)) == key
+
+
+def test_keys_of_a_shape_match_one_word_at_a_time():
+    for n in range(1, 7):
+        labels = [l for l, _ in _sign_words(n)]
+        for shape in _shapes(n):
+            plan = _centre_plan(shape.parents)
+            assert _keys(labels, plan) == [_keys([w], plan)[0] for w in labels]
 
 
 def test_unrooted_key_is_exact():
@@ -529,14 +561,12 @@ def test_unrooted_key_is_exact():
 
 
 def test_unrooted_key_counts():
-    # One centre plan per shape, as in ``fingerprint_classes``.
+    # One centre plan and one call per shape, as in ``fingerprint_classes``.
     counts = []
     for n in range(1, 9):
-        plans, keys = {}, set()
-        for t in enumerate_trees(n):
-            if t.parents not in plans:
-                plans[t.parents] = _centre_plan(t.parents)
-            keys.add(_keyed(t.labels, plans[t.parents]))
+        labels, keys = [l for l, _ in _sign_words(n)], set()
+        for shape in _shapes(n):
+            keys.update(_keys(labels, _centre_plan(shape.parents)))
         counts.append(len(keys))
     assert counts == [2, 3, 6, 18, 54, 189, 700, 2778]
 
@@ -550,7 +580,7 @@ def test_unrooted_key_matches_the_least_plane_text_up_to_7():
         for t in enumerate_trees(n):
             if t.parents not in plans:
                 plans[t.parents] = _centre_plan(t.parents)
-            pairs.add((_keyed(t.labels, plans[t.parents]), min(_plane_texts(t))))
+            pairs.add((_keys([t.labels], plans[t.parents])[0], min(_plane_texts(t))))
         assert len(pairs) == len({k for k, _ in pairs}) == len({m for _, m in pairs}), n
         if n == 6:
             assert sorted(len(centres) for centres, _ in plans.values()) == [1] * 22 + [2] * 20
@@ -586,8 +616,27 @@ def test_key_and_fingerprint_ignore_root_and_order(n, seed, rnd):
     assert fingerprint(moved) == fingerprint(t)
 
 
+def _mirror_fingerprint(t):
+    fp = fingerprint(t)
+    return replace(fp, signature=-fp.signature)
+
+
+def test_mirror_negates_only_the_signature_up_to_6():
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            assert fingerprint(_mirror(t)) == _mirror_fingerprint(t)
+
+
+@settings(deadline=None)
+@given(st.integers(8, 16), st.integers(0, 2**32))
+def test_mirror_negates_only_the_signature(n, seed):
+    t = random_tree(n, seed)
+    assert fingerprint(_mirror(t)) == _mirror_fingerprint(t)
+
+
 def test_fingerprint_classes_match_unmemoized():
-    for n in range(1, 6):
+    # At n = 6, 91 of the 189 keys take the fingerprint derived from their mirror's.
+    for n in range(1, 7):
         groups = defaultdict(list)
         for t in enumerate_trees(n):
             groups[fingerprint(t)].append(t)
@@ -605,7 +654,13 @@ def test_fingerprint_classes_fingerprint_each_form_once(monkeypatch):
 
     monkeypatch.setattr(minors, "fingerprint", counted)
     assert len(fingerprint_classes(6)) == 147
-    assert len(calls) == 189
+    # One call per mirror pair of the 189 keys, 7 of them their own mirror.
+    assert len(calls) == 98
+    keys = [_unrooted_key(t) for t in calls]
+    mirrors = [_unrooted_key(_mirror(t)) for t in calls]
+    assert len(set(keys)) == 98
+    assert sum(k == m for k, m in zip(keys, mirrors)) == 7
+    assert set(keys).isdisjoint(m for k, m in zip(keys, mirrors) if k != m)
 
 
 # --- exports -----------------------------------------------------------------
