@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .trees import PlaneTree, _reduction_texts, parse
+from .trees import PlaneTree, reductions
 
 __all__ = [
     "EmbeddingWitness",
@@ -189,16 +189,18 @@ def operation_closure(t: PlaneTree) -> frozenset[str]:
 
     ``t`` itself is included (the empty sequence of operations).  These
     are all the trees that embed into ``t``, exponentially many in
-    ``t.size`` in general, so keep ``t`` small.
+    ``t.size`` in general, so keep ``t`` small.  The search walks
+    :func:`hopfarb.trees.reductions` and keeps trees by value, so each
+    reached tree's text is written once, at the end.
     """
-    seen = {t.text}
+    seen = {t}
     frontier = [t]
     while frontier:
-        for _, text in _reduction_texts(frontier.pop()):
-            if text not in seen:
-                seen.add(text)
-                frontier.append(parse(text))
-    return frozenset(seen)
+        for r in reductions(frontier.pop()):
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return frozenset(r.text for r in seen)
 
 
 def oracle_embeds(t1: PlaneTree, t2: PlaneTree) -> bool:

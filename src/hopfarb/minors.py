@@ -13,10 +13,10 @@ as a stand-in for boundary-link equivalence.
 The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
 trees of :func:`hopfarb.trees.reductions` are its covers.  One walk up
 the shapes gives every sweep the covers: removing a vertex sends a
-shape to a smaller one, found by text among those built and confirmed
-by the embedding DP once, and each sign word to a sign word by index
-arithmetic; nothing is parsed.  The relation table walks back down with two
-bitset rows per tree, the trees covering it and its strict up-set, so
+shape to a smaller one, found by its ``parents`` among those built and
+confirmed by the embedding DP once, and each sign word to a sign word by
+index arithmetic; nothing is parsed.  The relation table walks back down
+with two bitset rows per tree, the trees covering it and its strict up-set, so
 reading the set bits row by row gives both pair lists in output order.
 It grows quadratically with the universe, so callers pick the bound
 (6: about 3.2k trees).  An audit keeps one value per tree and no trees,
@@ -53,10 +53,11 @@ from .invariants import (
 )
 from .trees import (
     PlaneTree,
-    _reduction_texts,
+    _removable,
     _shapes,
     _sign_words,
     _stamped,
+    _without,
     enumerate_trees,
 )
 
@@ -121,16 +122,16 @@ def _walk(sizes) -> Iterator[tuple[PlaneTree, list[tuple[int, int]]]]:
     preorder: s goes to ``(s >> L+1) << L | s & (2^L - 1)`` with L = n-1-v,
     and the shape to a shape of size n-1.  So a cover is ``(R, L)``, R that
     shape's rank, in the order of :func:`hopfarb.trees.reductions`.  The
-    DP runs on that shape as yielded one size down, found by its text.
+    DP runs on that shape as yielded one size down, found by its ``parents``.
     """
     here: list[PlaneTree] = []  # the shapes of this size, by rank
     for n in sizes:
         prev, here = here, list(_shapes(n))
-        ranks = {shape.text: R for R, shape in enumerate(prev)}
+        ranks = {shape.parents: R for R, shape in enumerate(prev)}
         for shape in here:
             covers = []
-            for v, text in _reduction_texts(shape):
-                R = ranks[text]
+            for v in _removable(shape):
+                R = ranks[_without(shape.parents, v)]
                 # One DP call per shape and v cross-checks the reduction for all
                 # sign words, and lets the benchmark's self-test flip ``minors.embeds``.
                 if embeds(prev[R], shape):

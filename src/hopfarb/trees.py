@@ -22,10 +22,10 @@ canonical texts are.
 
 :class:`PlaneTree` is the one tree representation, and its vertices are
 always numbered in preorder: vertex ``v`` is the ``v``-th sign of the
-canonical text.  So each reduction is a splice of that text, and the
-reduced tree comes from :func:`parse`.  Removing a vertex keeps the
-preorder of the others, so :mod:`hopfarb.minors` finds every tree's
-reductions by index arithmetic on the enumeration below.  Nothing here
+canonical text.  Removing a vertex keeps the preorder of the others, so
+each reduction is one map on the preorder arrays, and :mod:`hopfarb.minors`
+finds every tree's reductions by index arithmetic on the enumeration
+below.  :func:`parse` reads only text it is given.  Nothing here
 recurses, so tree depth and size are bounded by memory alone.
 ``enumerate_trees`` builds
 and checks one tree per shape, after an unranking walk of O(n) steps on
@@ -44,7 +44,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
 from math import comb
 from typing import ClassVar, Iterator
 
@@ -312,31 +312,25 @@ def random_tree(n: int, seed: int) -> PlaneTree:
 
 
 # ---------------------------------------------------------------------------
-# The reduction: remove one vertex that has at most one child.  Vertices
-# appear in the canonical text in preorder, so removing one is a splice
-# of that text; the result is ``parse`` of it, and the input is untouched.
+# The reduction: remove one vertex v that has at most one child, the next
+# vertex in preorder if any.  On the preorder arrays v's entries go, its
+# child takes v's parent, and every later index moves down by one.
 # ---------------------------------------------------------------------------
 
 
-def _offsets(t: PlaneTree) -> list[int]:
-    # Offset in ``t.text`` of each vertex's sign; vertex v has the v-th sign.
-    return [j for j, c in enumerate(t.text) if c in _CHAR_SIGN]
+def _without(parents: tuple[int | None, ...], v: int) -> tuple[int | None, ...]:
+    # ``parents`` without the vertex ``v``, which has at most one child.
+    p = parents[v]
+    return parents[:v] + tuple(p if u == v else u - (u > v) for u in parents[v + 1 :])
 
 
-def _splice(text: str, i: int) -> str:
-    # Canonical ``text`` without the vertex whose sign is at offset ``i``,
-    # which has at most one child: s(X) becomes X, and a leaf goes with
-    # one adjacent comma, or with its parentheses as an only child.
-    if text[i + 1 : i + 2] == "(":
-        # X's text ends just before the ')' that brings depth back to 0.
-        depth = accumulate((c == "(") - (c == ")") for c in text[i + 1 :])
-        e = i + 2 + next(j for j, d in enumerate(depth) if not d)
-        return text[:i] + text[i + 2 : e - 1] + text[e:]
-    if text[i - 1] == "(" and text[i + 1] == ")":
-        return text[: i - 1] + text[i + 2 :]
-    if text[i + 1] == ",":
-        return text[:i] + text[i + 2 :]
-    return text[: i - 1] + text[i + 1 :]
+def _removable(t: PlaneTree) -> list[int]:
+    # The vertices that `remove_vertex` accepts, in the order of `reductions`.
+    kids = t.children
+    removable = [v for v in range(t.size) if not kids[v]] if t.size > 1 else []
+    if len(kids[t.root]) == 1:
+        removable.append(t.root)
+    return removable + [c for u in range(t.size) for c in kids[u] if len(kids[c]) == 1]
 
 
 def remove_vertex(t: PlaneTree, v: int) -> PlaneTree:
@@ -357,19 +351,7 @@ def remove_vertex(t: PlaneTree, v: int) -> PlaneTree:
         raise ValueError(f"vertex {v} has {len(t.children[v])} children, expected at most 1")
     if t.size == 1:
         raise ValueError("cannot remove the only vertex of a tree")
-    return parse(_splice(t.text, _offsets(t)[v]))
-
-
-def _reduction_texts(t: PlaneTree) -> Iterator[tuple[int, str]]:
-    # ``(v, remove_vertex(t, v).text)`` per vertex that it accepts, in the
-    # order of `reductions`, each a splice of ``t``'s text.
-    removable = [v for v in range(t.size) if not t.children[v]] if t.size > 1 else []
-    if len(t.children[t.root]) == 1:
-        removable.append(t.root)
-    removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
-    offset = _offsets(t)
-    for v in removable:
-        yield v, _splice(t.text, offset[v])
+    return PlaneTree(t.labels[:v] + t.labels[v + 1 :], _without(t.parents, v))
 
 
 def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
@@ -380,7 +362,7 @@ def reductions(t: PlaneTree) -> Iterator[PlaneTree]:
     with repeats.  The reflexive-transitive closure of this step is the
     embedding order.
     """
-    return (parse(text) for _, text in _reduction_texts(t))
+    return (remove_vertex(t, v) for v in _removable(t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Vertex-deletion reductions on the tree structure, kept as a test oracle.
+"""Vertex-deletion reductions kept as test oracles, two ways.
 
-The library removes a vertex by splicing the canonical text.  These
-routines remove vertices from the labels and parents instead and build a
-new tree from what is left, so they share nothing with the text splice
-but the :class:`PlaneTree` constructor.
+The library removes a vertex by one map on the preorder arrays: the
+child takes the parent, and every later index moves down by one.
+``splice`` instead renumbers the survivors of any set of removals in one
+pass and builds a new tree from them, sharing only the
+:class:`PlaneTree` constructor.  ``text_splice`` removes a vertex from
+the canonical text and shares nothing with the library but ``text``.
 """
+
+from itertools import accumulate
 
 from hopfarb.trees import PlaneTree
 
@@ -46,3 +50,23 @@ def reductions(t):
         removable.append(t.root)
     removable += [c for u in range(t.size) for c in t.children[u] if len(t.children[c]) == 1]
     return [splice(t, {v}) for v in removable]
+
+
+def text_splice(t, v):
+    """The canonical text of ``t`` without ``v``, which has at most one child.
+
+    Vertex v has the v-th sign of the text: s(X) becomes X, and a leaf
+    goes with one adjacent comma, or with its parentheses as an only child.
+    """
+    text = t.text
+    i = [j for j, c in enumerate(text) if c in "+-"][v]
+    if text[i + 1 : i + 2] == "(":
+        # X's text ends just before the ')' that brings depth back to 0.
+        depth = accumulate((c == "(") - (c == ")") for c in text[i + 1 :])
+        e = i + 2 + next(j for j, d in enumerate(depth) if not d)
+        return text[:i] + text[i + 2 : e - 1] + text[e:]
+    if text[i - 1] == "(" and text[i + 1] == ")":
+        return text[: i - 1] + text[i + 2 :]
+    if text[i + 1] == ",":
+        return text[:i] + text[i + 2 :]
+    return text[: i - 1] + text[i + 1 :]

@@ -187,6 +187,11 @@ def test_laurent_evaluate():
     from fractions import Fraction
 
     assert q.evaluate(2) == Fraction(3, 2)
+    # lowest < 0 gives a Fraction, with an inner zero; lowest > 0 an int.
+    assert LaurentPolynomial(-2, (1, 0, 3)).evaluate(2) == Fraction(13, 4)
+    assert LaurentPolynomial(-2, (1, 0, 3)).evaluate(-1) == 4
+    r = LaurentPolynomial(2, (1, -1)).evaluate(3)
+    assert r == 9 - 27 and type(r) is int
 
 
 @pytest.mark.parametrize("lowest", range(-5, 6))

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfarb.embedding
 import hopfarb.trees
 from hopfarb import minors
-from hopfarb.embedding import embeds
+from hopfarb.embedding import embeds, oracle_embeds
 from hopfarb.invariants import boundary_components, fingerprint
 from hopfarb.minors import (
     Predicate,
@@ -28,13 +29,14 @@ from hopfarb.minors import (
 )
 from hopfarb.trees import (
     PlaneTree,
-    _reduction_texts,
+    _removable,
     _shapes,
     _sign_words,
     count,
     enumerate_trees,
     parse,
     random_tree,
+    reductions,
     remove_vertex,
     tree_from_json_obj,
     unrank,
@@ -270,7 +272,7 @@ def test_cover_indices_match_the_reference_up_to_7():
         start.append(start[-1] + count(n))
     for t, covers in minors._covers(minors._trees(7)):
         got = [unrank(t.size - 1, c - start[t.size - 1]) for c in covers]
-        assert got == [remove_vertex(t, v) for v, _ in _reduction_texts(t)] == reference_reductions(t)
+        assert got == [remove_vertex(t, v) for v in _removable(t)] == reference_reductions(t)
 
 
 def test_spread_matches_the_word_map():
@@ -329,14 +331,28 @@ def test_mining_calls_the_dp_through_minors(monkeypatch, spec):
 
 
 def test_the_walk_parses_nothing(monkeypatch):
-    # Each cover's reduced shape is looked up by text among the shapes the
-    # walk yielded one size earlier, and the DP runs on that very object.
+    # The library parses only text it is given: a removal is a map on the
+    # preorder arrays, and so are the reductions, the closure oracle and
+    # every sweep.  Each cover's reduced shape is looked up by its parents
+    # among the shapes the walk yielded one size earlier, and the DP runs
+    # on that very object.
+    t, host = parse("+(-(+),+)"), parse("-(+,-(+),+(+(-)),+)")
+    sub, non_sub = parse("-(+,+)"), parse("+(-,-)")
+
     def no_parse(text):
         raise AssertionError(f"parsed {text!r}")
 
     calls = []
     monkeypatch.setattr(hopfarb.trees, "parse", no_parse)
-    monkeypatch.setattr(minors, "parse", no_parse, raising=False)  # a copy imported by name
+    for module in (minors, hopfarb.embedding):  # a copy imported by name
+        monkeypatch.setattr(module, "parse", no_parse, raising=False)
+    assert [r.text for r in reductions(t)] == ["+(-,+)", "+(-(+))", "+(+,+)"]
+    assert remove_vertex(host, 2).text == "-(+,+,+(+(-)),+)"
+    assert oracle_embeds(sub, host) and not oracle_embeds(non_sub, host)
+    assert poset(universe(5)).stats["hasse_pairs"] == 1570
+    assert audit_monotone("genus", 5) == audit_monotone("betti", 5) == []
+    assert len(minimal_excluded(Predicate.parse("genus_le:1"), 6)) == 48
+    assert len(fingerprint_classes(5)) == 52
     monkeypatch.setattr(minors, "embeds", lambda a, b: calls.append((a, b)) or embeds(a, b))
     yielded = defaultdict(list)  # size -> the shapes the walk yielded
     for shape, covers in minors._walk(range(1, 7)):

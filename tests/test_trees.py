@@ -21,7 +21,7 @@ from hopfarb.trees import (
     unrank,
 )
 from json_reference import tree_to_json_obj, tree_to_json_text
-from splice_reference import path_interior, splice
+from splice_reference import path_interior, splice, text_splice
 from splice_reference import reductions as reference_reductions
 from strategies import plane_trees
 
@@ -433,6 +433,17 @@ def test_reductions_match_structural_reference_up_to_7():
             assert [r.text for r in reductions(t)] == expected
 
 
+def test_removal_matches_the_text_splice_up_to_7():
+    # The library removes a vertex on the preorder arrays; the oracle
+    # splices the canonical text instead.
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    assert len(trees) == 20_134
+    for t in trees:
+        for v in range(t.size):
+            if len(t.children[v]) <= 1 and t.size > 1:
+                assert remove_vertex(t, v).text == text_splice(t, v)
+
+
 @settings(deadline=None)
 @given(plane_trees())
 def test_reduction_operations_match_structural_reference(t):
@@ -440,7 +451,7 @@ def test_reduction_operations_match_structural_reference(t):
     assert [r.text for r in reductions(t)] == expected
     for v in range(t.size):
         if len(t.children[v]) <= 1 and t.size > 1:
-            assert remove_vertex(t, v).text == splice(t, {v}).text
+            assert remove_vertex(t, v).text == splice(t, {v}).text == text_splice(t, v)
         else:
             with pytest.raises(ValueError):
                 remove_vertex(t, v)
@@ -463,6 +474,8 @@ def test_deep_and_wide_trees():
     assert remove_vertex(path, n - 1).text == "+(" * (n - 2) + "+" + ")" * (n - 2)
     assert remove_vertex(path, 0).text == path_text[2:-1]
     assert remove_vertex(path, 1).text == "+(" * (n - 2) + "-" + ")" * (n - 2)
+    for v in (0, 1, n // 2, n - 2, n - 1):
+        assert remove_vertex(path, v).text == text_splice(path, v)
     # Reductions come lazily: the leaf, the root, then vertex 1.
     first = islice(reductions(path), 3)
     assert [r.text for r in first] == [remove_vertex(path, v).text for v in (n - 1, 0, 1)]
@@ -473,6 +486,8 @@ def test_deep_and_wide_trees():
     star = parse(star_text)
     assert star.size == n and star.text == star_text
     assert remove_vertex(star, 1).size == n - 1
+    for v in (1, 2, n // 2, n - 1):
+        assert remove_vertex(star, v).text == text_splice(star, v)
     assert [r.text for r in islice(reductions(star), 2)] == [remove_vertex(star, v).text for v in (1, 2)]
     with pytest.raises(ValueError):
         remove_vertex(star, 0)
