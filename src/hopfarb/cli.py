@@ -30,7 +30,7 @@ from .trees import (
 
 DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
 DEFAULT_ORACLE_GUARD = 8  # largest host, in vertices, of oracle-embed
-CLASSES_GUARD = 9  # largest size of classes: 7-8 s and 234 MiB; each size up holds about 7x the trees
+CLASSES_GUARD = 9  # largest size of classes: 6-6.5 s and 224 MiB; each size up holds about 7x the trees
 SIZE_GUARD = 10**5  # largest size of count, enum, random and classes; their first step costs about n^2
 
 

@@ -14,10 +14,11 @@ The order is generated by :func:`hopfarb.trees.remove_vertex`, so the
 trees of :func:`hopfarb.trees.reductions` are its covers.  One walk up
 the shapes gives every sweep the covers: removing a vertex sends a
 shape to a smaller one, found by its ``parents`` among those built and
-confirmed by the embedding DP once, and each sign word to a sign word by
-index arithmetic; nothing is parsed.  The relation table walks back down
-with two bitset rows per tree, the trees covering it and its strict up-set, so
-reading the set bits row by row gives both pair lists in output order.
+confirmed by the embedding DP once per distinct reduced shape, and each
+sign word to a sign word by index arithmetic; nothing is parsed.  The
+relation table walks back down with two bitset rows per tree, the trees
+covering it and its strict up-set, so reading the set bits row by row
+gives both pair lists in output order.
 It grows quadratically with the universe, so callers pick the bound
 (6: about 3.2k trees).  An audit keeps one value per tree and no trees,
 compares each tree with its covers, and builds the table only when a
@@ -27,9 +28,13 @@ a tree only for an unflagged word, and a violator there is minimal.
 Fingerprint classes compute one fingerprint per unrooted, unordered
 signed tree and its mirror (98 pairs among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
-order, and the mirror, word 2^n-1-s of word s, only negates sigma.  A
-shape's keys come from one plan, the shape hung from its one or two
-centres, applied to the columns of all its sign words at once.
+order, and the mirror, word 2^n-1-s of word s, only negates sigma.  Each
+shape is hung from its one or two centres with children sorted by their
+unsigned code, which gives its key as an unrooted tree and a canonical
+vertex order.  Only the first shape of each such key (6 of the 42 shapes
+of size 6, 23 of 429 at size 8) codes its sign words, column by column;
+every other shape maps its words onto that one's by matching the two
+orders.
 All outputs are deterministic: trees in enumeration order, pair lists
 lexicographically, mined families by canonical text.
 """
@@ -122,19 +127,23 @@ def _walk(sizes) -> Iterator[tuple[PlaneTree, list[tuple[int, int]]]]:
     preorder: s goes to ``(s >> L+1) << L | s & (2^L - 1)`` with L = n-1-v,
     and the shape to a shape of size n-1.  So a cover is ``(R, L)``, R that
     shape's rank, in the order of :func:`hopfarb.trees.reductions`.  The
-    DP runs on that shape as yielded one size down, found by its ``parents``.
+    DP runs once per distinct R, on that shape as yielded one size down,
+    found by its ``parents``: up to size 6 that is 146 calls for the 274
+    (shape, removable vertex) pairs, and up to size 7 538 for 988.
     """
     here: list[PlaneTree] = []  # the shapes of this size, by rank
     for n in sizes:
         prev, here = here, list(_shapes(n))
         ranks = {shape.parents: R for R, shape in enumerate(prev)}
         for shape in here:
-            covers = []
+            covers, confirmed = [], {}
             for v in _removable(shape):
                 R = ranks[_without(shape.parents, v)]
-                # One DP call per shape and v cross-checks the reduction for all
-                # sign words, and lets the benchmark's self-test flip ``minors.embeds``.
-                if embeds(prev[R], shape):
+                # One DP call per shape and reduced shape cross-checks the reduction for
+                # all sign words, and lets the benchmark's self-test flip ``minors.embeds``.
+                if R not in confirmed:
+                    confirmed[R] = embeds(prev[R], shape)
+                if confirmed[R]:
                     covers.append((R, n - 1 - v))
             yield shape, covers
 
@@ -315,7 +324,7 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     predicate is not violated by a multi-component link, so its minimal
     violators are knots with no violating knot below them; links pass
     flags up too (every cover of a 4-vertex knot is one).  The embedding
-    DP confirms each cover once per shape, for all its sign words.
+    DP confirms each reduced shape once per shape, for all its sign words.
     """
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
@@ -330,7 +339,10 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
         for r, L in covers:
             hit |= int.from_bytes(_spread(below[r * width : (r + 1) * width], L), "big")
         flags = bytearray(hit.to_bytes(1 << n, "big"))
-        free = [s for s, f in enumerate(flags) if not f]
+        free, s = [], flags.find(0)
+        while s >= 0:
+            free.append(s)
+            s = flags.find(0, s + 1)
         for s, t in zip(free, _stamped(shape, map(words.__getitem__, free))):
             if not (p.knots_only and boundary_components(t) != 1) and not evaluate(p, t):
                 minimal.append(t)
@@ -375,10 +387,13 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in _pairs(up) if values[i] > values[j]]
 
 
-def _centre_plan(parents: tuple[int | None, ...]) -> tuple[list[int], list]:
-    # ``(centres, steps)``: peeling leaves layer by layer ends at one or two
-    # centres, and one walk hangs the shape from them; ``steps`` pairs each
-    # vertex that has children so hung with them, children first.
+def _centre_plan(parents: tuple[int | None, ...]) -> tuple[list[int], list, str, list[int]]:
+    # ``(centres, steps, key, order)``: peeling leaves layer by layer ends at one or two
+    # centres, and one walk hangs the shape from them; ``steps`` pairs each vertex that
+    # has children so hung with them, children first.  Children and centres are sorted
+    # by their unsigned AHU code: ``key`` joins the centres' codes, the shape's key as an
+    # unrooted, unordered tree, and ``order`` lists its vertices in the preorder of that
+    # code, so two shapes with one key map onto each other position by position.
     n = len(parents)
     adj: list[list[int]] = [[] for _ in range(n)]
     for v in range(1, n):
@@ -403,16 +418,40 @@ def _centre_plan(parents: tuple[int | None, ...]) -> tuple[list[int], list]:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
-    steps = [(v, [w for w in adj[v] if w != parent[v]]) for v in reversed(order)]
-    return layer, [(v, kids) for v, kids in steps if kids]
+    code = ["()"] * n
+    below = [[v] for v in range(n)]  # each vertex's hung subtree in the preorder of its code
+    steps = []
+    for v in reversed(order):
+        kids = sorted((w for w in adj[v] if w != parent[v]), key=code.__getitem__)
+        if kids:
+            steps.append((v, kids))
+            code[v] = "(" + "".join(map(code.__getitem__, kids)) + ")"
+            below[v] += chain.from_iterable(map(below.__getitem__, kids))
+    centres = sorted(layer, key=code.__getitem__)
+    key = "".join(map(code.__getitem__, centres))
+    return centres, steps, key, list(chain.from_iterable(map(below.__getitem__, centres)))
 
 
-def _keys(words, plan: tuple[list[int], list]) -> list[str]:
+def _word_map(order: list[int], onto: list[int]) -> list[int]:
+    # Entry s is sign word s of a shape as a word of a shape with the same key: vertex
+    # ``order[i]`` gives its bit to vertex ``onto[i]``.  One doubling per vertex, the
+    # last vertex (bit 0) first, so the list reads the low bits of s.
+    n = len(order)
+    bit = [0] * n
+    for v, w in zip(order, onto):
+        bit[v] = 1 << n - 1 - w
+    words = [0]
+    for b in reversed(bit):
+        words += [s + b for s in words]
+    return words
+
+
+def _keys(words, plan: tuple[list[int], list, str, list[int]]) -> list[str]:
     # Keys of ``words`` (label tuples of one shape) as unrooted, unordered signed trees:
     # AHU codes from the leaves up (sign, then the sorted codes of the children in
     # parentheses), one column over the words per vertex; the centres' codes sorted and
     # joined.  Codes are prefix-free, so equal keys mean equal trees up to root and order.
-    centres, steps = plan
+    centres, steps, _, _ = plan
     opens = [["+(" if l > 0 else "-(" for l in col] for col in zip(*words)]
     code = [[o + ")" for o in col] for col in opens]
     for v, kids in steps:
@@ -442,20 +481,34 @@ def fingerprint_classes(n: int) -> list[list[PlaneTree]]:
     the normalized Delta (each term of ``det(V - t V^T)`` scales by
     ``(-1)^n``), and negates sigma, as ``-(2E - A)`` is congruent to
     ``2E + A`` on a tree by the +-1 diagonal of its bipartition.
+
+    Keys are coded once per unrooted tree, on the first plane shape with
+    its shape key; every later shape sends its words there through
+    :func:`_word_map`.  At size 8 the call takes about 0.7 s on a shared
+    2-core host, more than half of it in ``fingerprint``.
     """
     shapes = _shapes(n)  # checks n before anything is built
     words = list(_sign_words(n))
     labels = [l for l, _ in words]
     groups, of_key = {}, {}  # the trees of each fingerprint, and the group of each key met
+    first = {}  # shape key: the first such shape's order, and the group of each of its words
     for shape in shapes:
-        keys = _keys(labels, _centre_plan(shape.parents))
-        # Word 2^n-1-s flips every sign of word s, so its key is the mirror's.
-        for key, mirror, t in zip(keys, reversed(keys), _stamped(shape, words)):
-            if key not in of_key:
-                fp = fingerprint(t)
-                of_key[key] = groups.setdefault(fp, [])
-                of_key[mirror] = groups.setdefault(replace(fp, signature=-fp.signature), [])
-            of_key[key].append(t)
+        plan = _centre_plan(shape.parents)
+        _, _, shape_key, order = plan
+        trees = _stamped(shape, words)
+        if shape_key not in first:
+            trees = list(trees)
+            keys = _keys(labels, plan)
+            # Word 2^n-1-s flips every sign of word s, so its key is the mirror's.
+            for key, mirror, t in zip(keys, reversed(keys), trees):
+                if key not in of_key:
+                    fp = fingerprint(t)
+                    of_key[key] = groups.setdefault(fp, [])
+                    of_key[mirror] = groups.setdefault(replace(fp, signature=-fp.signature), [])
+            first[shape_key] = order, list(map(of_key.__getitem__, keys))
+        onto, group = first[shape_key]
+        for s, t in zip(_word_map(order, onto), trees):
+            group[s].append(t)
     classes = [sorted(g, key=lambda t: t.text) for g in groups.values()]
     return sorted(classes, key=lambda g: g[0].text)
 

@@ -17,6 +17,7 @@ from hopfarb.minors import (
     _REGISTRY,
     _centre_plan,
     _keys,
+    _word_map,
     audit_monotone,
     check_excluded_family,
     evaluate,
@@ -312,19 +313,25 @@ def _all_positive_shapes(n):
     return [unrank(n, rank << n) for rank in range(count(n) >> n)]
 
 
+def _distinct_reductions(nmax):
+    # The DP calls of one walk up to ``nmax``: a shape's distinct reduced shapes.
+    shapes = [t for n in range(2, nmax + 1) for t in _all_positive_shapes(n)]
+    return sum(len({r.text for r in reference_reductions(t)}) for t in shapes)
+
+
 @pytest.mark.parametrize("spec", ["genus_le:1", "all_positive", "size_le:3"])
 def test_mining_calls_the_dp_through_minors(monkeypatch, spec):
-    # One call per shape and removable vertex, whatever the predicate:
-    # the DP confirms each cover of a shape's all-'+' tree once, and a
-    # cover it rejects is dropped for every sign word.  The benchmark's
-    # self-test flips ``minors.embeds`` and needs ``mine`` to call it.
+    # One call per shape and distinct reduced shape, whatever the predicate:
+    # the DP confirms each cover of a shape's all-'+' tree once, however many
+    # removable vertices give it, and a cover it rejects is dropped for every
+    # sign word.  The benchmark's self-test flips ``minors.embeds`` and needs
+    # ``mine`` to call it.
     seen = []
     monkeypatch.setattr(minors, "embeds", lambda a, b: seen.append((a, b)) or embeds(a, b))
-    for nmax, calls in ((6, 274), (7, 988)):
+    for nmax, calls in ((6, 146), (7, 538)):
         seen.clear()
         minimal_excluded(Predicate.parse(spec), nmax)
-        shapes = [t for n in range(2, nmax + 1) for t in _all_positive_shapes(n)]
-        assert len(seen) == sum(len(reference_reductions(t)) for t in shapes) == calls
+        assert len(seen) == len(set(seen)) == _distinct_reductions(nmax) == calls
         for a, b in seen:
             assert set(a.labels) == set(b.labels) == {1}
             assert a in reference_reductions(b)
@@ -357,8 +364,10 @@ def test_the_walk_parses_nothing(monkeypatch):
     yielded = defaultdict(list)  # size -> the shapes the walk yielded
     for shape, covers in minors._walk(range(1, 7)):
         yielded[shape.size].append(shape)
-    assert len(calls) == 274
+    assert len(calls) == _distinct_reductions(6) == 146
     for a, b in calls:
+        assert set(a.labels) == set(b.labels) == {1}
+        assert a in reference_reductions(b)
         assert any(a is shape for shape in yielded[b.size - 1])
 
 
@@ -587,6 +596,34 @@ def test_unrooted_key_counts():
     assert counts == [2, 3, 6, 18, 54, 189, 700, 2778]
 
 
+def test_shape_keys_count_the_unrooted_trees():
+    # OEIS A000055: the trees on n unlabelled vertices, up to root and order.
+    counts = [len({_centre_plan(s.parents)[2] for s in _shapes(n)}) for n in range(1, 10)]
+    assert counts == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+
+
+def test_word_map_carries_keys_to_the_first_shape_with_the_shape_key():
+    # Word s of any shape has the signed key of word ``_word_map(...)[s]`` of
+    # the first shape with its shape key, as ``fingerprint_classes`` reads it.
+    for n in range(1, 8):
+        labels = [l for l, _ in _sign_words(n)]
+        first = {}
+        for shape in _shapes(n):
+            plan = _centre_plan(shape.parents)
+            _, _, shape_key, order = plan
+            onto, onto_keys = first.setdefault(shape_key, (order, _keys(labels, plan)))
+            words = _word_map(order, onto)
+            assert sorted(words) == list(range(1 << n))
+            assert _keys(labels, plan) == [onto_keys[s] for s in words]
+
+
+def test_word_map_moves_each_sign_to_its_image():
+    # Vertex order[i] of the shape gives its sign to vertex onto[i]; vertex v
+    # is bit n-1-v, so here bit 0 goes to bit 1, bit 1 to bit 2 and bit 2 to bit 0.
+    order, onto = [2, 0, 1], [1, 2, 0]
+    assert _word_map(order, onto) == [0b000, 0b010, 0b100, 0b110, 0b001, 0b011, 0b101, 0b111]
+
+
 def test_unrooted_key_matches_the_least_plane_text_up_to_7():
     # The brute-force key of a tree is its least text over all roots and
     # child orders; the centre codes must name the same classes, for one
@@ -599,7 +636,7 @@ def test_unrooted_key_matches_the_least_plane_text_up_to_7():
             pairs.add((_keys([t.labels], plans[t.parents])[0], min(_plane_texts(t))))
         assert len(pairs) == len({k for k, _ in pairs}) == len({m for _, m in pairs}), n
         if n == 6:
-            assert sorted(len(centres) for centres, _ in plans.values()) == [1] * 22 + [2] * 20
+            assert sorted(len(plan[0]) for plan in plans.values()) == [1] * 22 + [2] * 20
 
 
 def test_fingerprint_constant_on_keys(u5):
@@ -677,6 +714,16 @@ def test_fingerprint_classes_fingerprint_each_form_once(monkeypatch):
     assert len(set(keys)) == 98
     assert sum(k == m for k, m in zip(keys, mirrors)) == 7
     assert set(keys).isdisjoint(m for k, m in zip(keys, mirrors) if k != m)
+
+
+def test_fingerprint_classes_key_one_shape_per_unrooted_tree(monkeypatch):
+    # 42 plane shapes of size 6 and 132 of size 7, but 6 and 11 unrooted trees.
+    keyed = []
+    monkeypatch.setattr(minors, "_keys", lambda words, plan: keyed.append(plan) or _keys(words, plan))
+    for n, shapes in ((6, 6), (7, 11)):
+        keyed.clear()
+        fingerprint_classes(n)
+        assert len(keyed) == len({shape_key for _, _, shape_key, _ in keyed}) == shapes
 
 
 # --- exports -----------------------------------------------------------------
