@@ -22,9 +22,9 @@ gives both pair lists in output order.
 It grows quadratically with the universe, so callers pick the bound
 (6: about 3.2k trees).  An audit keeps one value per tree and no trees,
 compares each tree with its covers, and builds the table only when a
-cover fails.  Mining keeps a flag per sign word of two sizes, a
-violator at or below it, spread along each cover by slicing; it builds
-a tree only for an unflagged word, and a violator there is minimal.
+cover fails.  Mining keeps an int per shape of two sizes, bit s for a
+violator at or below sign word s, spread along each cover by shifts;
+it builds a tree only for an unflagged word, where a violator is minimal.
 Fingerprint classes compute one fingerprint per unrooted, unordered
 signed tree and its mirror (98 pairs among the 2,688 trees of size 6):
 the Seifert invariants of a plumbing see neither its root nor its plane
@@ -162,20 +162,17 @@ def _covers(trees) -> Iterator[tuple[PlaneTree, list[int]]]:
         yield t, [base + (s >> L + 1 << L | s & low) for base, L, low in plan]
 
 
-def _spread(flags: bytes, L: int):
-    """Per-word ``flags`` of a size n-1 shape, read by the 2^n words of size n.
+def _spread(flags: int, L: int, gaps: list[int]) -> int:
+    """Flags of a size n-1 shape, bit per sign word, read by the 2^n words of size n.
 
-    Word s reads ``flags[(s >> L+1) << L | s & (2^L - 1)]``: each run of
-    2^L flags is doubled, by 2^(n-1-L) chunk copies or by 2^(L+1) strided
-    slice assignments, whichever are fewer.
+    Bit s is bit ``(s >> L+1) << L | s & (2^L - 1)`` of ``flags``, so each
+    run of 2^L bits is doubled: n-1-L shift-and-mask steps, widest runs
+    first, open a gap after each run, and one shifted copy fills it.
+    ``gaps[k]`` masks runs of 2^k ones, each followed by 2^k zeros.
     """
-    step = 1 << L
-    if 2 * step >= len(flags) // step:
-        return b"".join(flags[i : i + step] * 2 for i in range(0, len(flags), step))
-    out = bytearray(2 * len(flags))
-    for low in range(step):
-        out[low :: 2 * step] = out[step + low :: 2 * step] = flags[low::step]
-    return out
+    for k in range(len(gaps) - 1, L - 1, -1):
+        flags = (flags | flags << (1 << k)) & gaps[k]
+    return flags | flags << (1 << L)
 
 
 def _order(u: Universe) -> tuple[list[int], list[int]]:
@@ -315,12 +312,12 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
 
     The order is generated by one-vertex reductions, so any violator
     strictly below a tree lies at or below one of its covers.  One walk up
-    the shapes keeps a flag per sign word, a violator at or below it: a
-    shape's words take their covers' flags (the reduced shape's flags with
-    bit L doubled, by slicing), and only the words left unflagged are
-    built as trees and tested, so a violator among them is minimal.  This
-    holds for any predicate, monotone or not, as a tree that satisfies
-    ``p`` still passes its covers' flags up.  A knots-only
+    the shapes keeps one int per shape, bit s set when sign word s has a
+    violator at or below it: a shape ORs its covers' ints (the reduced
+    shape's, spread by :func:`_spread`), and only the words left unflagged
+    are built as trees and tested, so a violator among them is minimal.
+    This holds for any predicate, monotone or not, as a tree that
+    satisfies ``p`` still passes its covers' flags up.  A knots-only
     predicate is not violated by a multi-component link, so its minimal
     violators are knots with no violating knot below them; links pass
     flags up too (every cover of a 4-vertex knot is one).  The embedding
@@ -329,25 +326,26 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     if nmax < 1:
         raise ValueError("universe bound must be >= 1")
     minimal: list[PlaneTree] = []
-    n, below, layer = 0, b"", b""  # a flag per tree of the sizes n-1 and n: a violator at or below
+    n, below, layer = 0, [], []  # each shape's flags at the sizes n-1 and n: a violator at or below
     for shape, covers in _walk(range(1, nmax + 1)):
         if shape.size != n:
-            n, below, layer = shape.size, layer, bytearray()
+            n, below, layer = shape.size, layer, []
             words = list(_sign_words(n))
-            width = 1 << n - 1
+            full = (1 << (1 << n)) - 1
+            gaps = [full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) for k in range(n - 1)]
         hit = 0
         for r, L in covers:
-            hit |= int.from_bytes(_spread(below[r * width : (r + 1) * width], L), "big")
-        flags = bytearray(hit.to_bytes(1 << n, "big"))
-        free, s = [], flags.find(0)
+            hit |= _spread(below[r], L, gaps)
+        bits = bin(~hit & full)[:1:-1]  # character s is 1 for a free word s
+        free, s = [], bits.find("1")
         while s >= 0:
             free.append(s)
-            s = flags.find(0, s + 1)
+            s = bits.find("1", s + 1)
         for s, t in zip(free, _stamped(shape, map(words.__getitem__, free))):
             if not (p.knots_only and boundary_components(t) != 1) and not evaluate(p, t):
                 minimal.append(t)
-                flags[s] = 1
-        layer += flags
+                hit |= 1 << s
+        layer.append(hit)
     return sorted(minimal, key=lambda t: t.text)
 
 

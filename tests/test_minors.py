@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import defaultdict
 from dataclasses import replace
 from itertools import permutations, product
@@ -43,6 +44,7 @@ from hopfarb.trees import (
     unrank,
 )
 from splice_reference import reductions as reference_reductions
+from spread_reference import spread as byte_spread
 
 
 # --- universes ---------------------------------------------------------------
@@ -276,18 +278,44 @@ def test_cover_indices_match_the_reference_up_to_7():
         assert got == [remove_vertex(t, v) for v in _removable(t)] == reference_reductions(t)
 
 
+def _word_map_reads(n, L):
+    # Entry s: the flag of size n-1 that word s of size n reads.
+    return [(s >> L + 1) << L | s & ((1 << L) - 1) for s in range(1 << n)]
+
+
+def _gaps(n):
+    # Bit s of gaps[k] is set when bit k of s is clear.
+    return [sum(1 << s for s in range(1 << n) if not s >> k & 1) for k in range(n - 1)]
+
+
 def test_spread_matches_the_word_map():
-    # For every n <= 9 and L: word s of size n reads flag
-    # (s >> L+1) << L | s & (2^L - 1) of size n-1.  The flags are distinct
-    # bytes, so each read is checked, not only its 0 or 1.
-    strided = set()
+    # One-hot flags for every n <= 9 and L: bit s of the spread is set
+    # exactly when word s reads the one set flag, so each output bit's
+    # source is checked.  The byte reference agrees.
     for n in range(1, 10):
-        flags = bytes(range(1 << n - 1))
+        gaps = _gaps(n)
         for L in range(n):
-            want = bytes(flags[(s >> L + 1) << L | s & ((1 << L) - 1)] for s in range(1 << n))
-            assert bytes(minors._spread(flags, L)) == want, (n, L)
-            strided.add(2 * L + 2 < n)  # the strided branch, else chunk copies
-    assert strided == {False, True}
+            reads = _word_map_reads(n, L)
+            for i in range(1 << n - 1):
+                got = minors._spread(1 << i, L, gaps)
+                assert got == sum(1 << s for s, r in enumerate(reads) if r == i), (n, L, i)
+                ref = byte_spread(bytes(j == i for j in range(1 << n - 1)), L)
+                assert got == sum(1 << s for s, f in enumerate(ref) if f), (n, L, i)
+
+
+def test_spread_matches_the_byte_reference_on_random_flags():
+    rng = random.Random(7)
+    for n in range(1, 12):
+        gaps = _gaps(n)
+        for L in range(n):
+            reads = _word_map_reads(n, L)
+            for _ in range(4):
+                flags = rng.getrandbits(1 << n - 1)
+                got = minors._spread(flags, L, gaps)
+                assert got == sum(1 << s for s, r in enumerate(reads) if flags >> r & 1), (n, L)
+                as_bytes = bytes(flags >> j & 1 for j in range(1 << n - 1))
+                ref = byte_spread(as_bytes, L)
+                assert got == sum(f << s for s, f in enumerate(ref)), (n, L)
 
 
 @pytest.mark.parametrize(
@@ -394,8 +422,10 @@ def test_the_dp_decides_inherited_witnesses(monkeypatch):
 # SHA-256 of the canonical texts, one per line.  They were taken from
 # earlier searches: the nmax 6 and 7 pins from one that tested each
 # violator with the DP against the smaller minimal violators, the nmax 8
-# pins from one that passed a minimal violator up the covers by text.
-# So they pin that flagging along the cover indices changes no family.
+# pins from one that passed a minimal violator up the covers by text,
+# and the nmax 9 and 10 pins from one that held each shape's flags as
+# bytes.  So they pin that flagging along the cover indices changes no
+# family.
 # At nmax 7 the knots-only pins (2, 18 and 300 minimal knots) check that
 # links pass the flag up.
 MINED_SHA256 = {
@@ -416,6 +446,12 @@ MINED_SHA256 = {
     ("genus_le:2", 8): "a814213ebeafb5c846ff4d5e92564fd4bc849d9007ba536b4ac2e735692acb48",
     ("det_le:3", 8): "07ded2b8c7ad7f29deee7a078dcfc8e332bd17d2518d616cc46da1f57da98527",
     ("top_defect_ub_le:0", 8): "4d8b087eff5d83ea11039edccab6161aef2152434c0f96983c9defe53e486488",
+    ("genus_le:1", 9): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
+    ("top_defect_ub_le:0", 9): "4d8b087eff5d83ea11039edccab6161aef2152434c0f96983c9defe53e486488",
+    ("top_defect_ub_le:1", 9): "429bffba202f02d36682604622cc7f0842128feaba87a62ef7797fa264de1dec",
+    ("genus_le:1", 10): "692dbd368d47ea900aa9ead955d892c9b116ca334f3ea85c624c99d6d0955951",
+    ("top_defect_ub_le:0", 10): "664fe0befe232dee4dca87d15005621e085b992b86b88db40067f52a1de29c3a",
+    ("top_defect_ub_le:1", 10): "0614efa6302343770ddaa0b5b9a7a70a3defbbbede97e77f0853cdad3d6589ec",
 }
 
 
