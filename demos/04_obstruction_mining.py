@@ -61,13 +61,12 @@ print(f"size_le:3 obstructions: {len(mined)} trees, sizes {sorted({t.size for t 
 # distinct trees that plumb to the same boundary link (or at least to
 # links these invariants cannot tell apart).
 for cls in fingerprint_classes(2):
-    print("class:", [t.text for t in cls])
+    print("class:", cls)
 
 merged = [c for c in fingerprint_classes(4) if len(c) > 1]
-print(f"size-4 classes with several trees: {len(merged)}; a sample:",
-      [t.text for t in merged[0]])
+print(f"size-4 classes with several trees: {len(merged)}; a sample:", merged[0])
 
 # The boundary of +(-) is the figure-eight knot, an amphichiral knot;
 # its class pairs the tree with its mirror.
-print("figure-eight class:", [t.text for t in fingerprint_classes(2)[1]],
+print("figure-eight class:", fingerprint_classes(2)[1],
       "contains", parse("+(-)").text, "and its mirror")

@@ -30,7 +30,7 @@ from .trees import (
 
 DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
 DEFAULT_ORACLE_GUARD = 8  # largest host, in vertices, of oracle-embed
-CLASSES_GUARD = 9  # largest size of classes: 6-6.5 s and 224 MiB; each size up holds about 7x the trees
+CLASSES_GUARD = 9  # largest size of classes: 3.2-3.7 s and 89 MiB; size 10 has 5.0M trees
 SIZE_GUARD = 10**5  # largest size of count, enum, random and classes; their first step costs about n^2
 
 
@@ -221,7 +221,7 @@ def _dispatch(args) -> int:
         if n > CLASSES_GUARD:
             raise ValueError(f"classes guard exceeded: tree size {n} > guard {CLASSES_GUARD}")
         for cls in minors.fingerprint_classes(n):
-            print(" ".join(t.text for t in cls))
+            print(" ".join(cls))
     elif args.verb == "random":
         print(random_tree(_size(args.size), args.seed).text)
     return 0

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -34,6 +34,7 @@ from hopfarb.trees import (
     _removable,
     _shapes,
     _sign_words,
+    _stamped,
     count,
     enumerate_trees,
     parse,
@@ -82,6 +83,17 @@ def test_poset_stats(u2):
     assert stats["trees_per_size"] == {1: 2, 2: 4}
     assert stats["relation_pairs"] == 6
     assert stats["pairs_per_size"] == {"1->2": 6}
+
+
+def test_pairs_per_size_match_a_count_over_the_pairs():
+    # The reference counts every relation pair; keys in the order first met.
+    for n in range(1, 8):
+        u = universe(n)
+        report = poset(u)
+        sizes = [t.size for t in u.trees]
+        reference = Counter((sizes[i], sizes[j]) for i, j in report.relation_pairs)
+        expected = [(f"{a}->{b}", c) for (a, b), c in reference.items()]
+        assert list(report.stats["pairs_per_size"].items()) == expected
 
 
 def test_relation_transitively_closed(u4):
@@ -535,20 +547,18 @@ def test_audit_monotone_errors():
 
 
 def test_fingerprint_classes_size_1():
-    classes = fingerprint_classes(1)
-    assert [[t.text for t in c] for c in classes] == [["+"], ["-"]]
+    assert fingerprint_classes(1) == [["+"], ["-"]]
 
 
 def test_fingerprint_classes_size_2():
-    classes = fingerprint_classes(2)
-    assert [[t.text for t in c] for c in classes] == [["+(+)"], ["+(-)", "-(+)"], ["-(-)"]]
+    assert fingerprint_classes(2) == [["+(+)"], ["+(-)", "-(+)"], ["-(-)"]]
 
 
 def test_fingerprint_classes_partition():
     classes = fingerprint_classes(4)
-    members = [t.text for c in classes for t in c]
+    members = [text for c in classes for text in c]
     assert len(members) == len(set(members)) == count(4)
-    assert all(t.size == 4 for c in classes for t in c)
+    assert all(parse(text).size == 4 for text in members)
     with pytest.raises(ValueError):
         fingerprint_classes(0)
 
@@ -731,7 +741,7 @@ def test_fingerprint_classes_match_unmemoized():
             groups[fingerprint(t)].append(t)
         reference = [sorted(g, key=lambda t: t.text) for g in groups.values()]
         reference.sort(key=lambda g: g[0].text)
-        assert fingerprint_classes(n) == reference
+        assert fingerprint_classes(n) == [[t.text for t in g] for g in reference]
 
 
 def test_fingerprint_classes_fingerprint_each_form_once(monkeypatch):
@@ -750,6 +760,22 @@ def test_fingerprint_classes_fingerprint_each_form_once(monkeypatch):
     assert len(set(keys)) == 98
     assert sum(k == m for k, m in zip(keys, mirrors)) == 7
     assert set(keys).isdisjoint(m for k, m in zip(keys, mirrors) if k != m)
+
+
+def test_fingerprint_classes_stamp_only_the_fingerprinted_trees(monkeypatch):
+    # One tree per fingerprint call, not one per word: the classes hold texts.
+    stamped = []
+
+    def counted(shape, words):
+        for t in _stamped(shape, words):
+            stamped.append(t)
+            yield t
+
+    monkeypatch.setattr(minors, "_stamped", counted)
+    classes = fingerprint_classes(6)
+    assert len(stamped) == 98
+    assert sum(map(len, classes)) == count(6)
+    assert all(type(text) is str for c in classes for text in c)
 
 
 def test_fingerprint_classes_key_one_shape_per_unrooted_tree(monkeypatch):
