@@ -5,7 +5,8 @@ output: identical argument vectors (including seeds) produce
 byte-identical stdout.  ``--jobs`` is still accepted and has no effect.
 Domain failures (bad tree text, exceeded guards) exit 1 with a one-line
 diagnostic on stderr; usage errors exit 2.  The size guards are this
-module's policy: the library computes whatever bound it is given.
+module's policy, each checked by ``_within`` before its verb does any
+work: the library computes whatever bound it is given.
 """
 
 from __future__ import annotations
@@ -124,15 +125,10 @@ def _guard(args, default: int) -> int:
     return args.guard
 
 
-def _size(n: int) -> int:
-    if n > SIZE_GUARD:
-        raise ValueError(f"size guard exceeded: tree size {n} > guard {SIZE_GUARD}")
-    return n
-
-
-def _check_universe(nmax: int, guard: int) -> None:
-    if nmax > guard:
-        raise ValueError(f"poset guard exceeded: universe bound {nmax} > guard {guard}")
+def _within(name: str, what: str, value: int, guard: int) -> int:
+    if value > guard:
+        raise ValueError(f"{name} guard exceeded: {what} {value} > guard {guard}")
+    return value
 
 
 def _write_output(path: str, content: str) -> None:
@@ -164,12 +160,13 @@ def _dispatch(args) -> int:
             print(tree_to_json(t) if args.format == "json" else t.text)
     elif args.verb == "enum":
         limit = args.limit
-        for i, t in enumerate(enumerate_trees(_size(args.size))):
+        for i, t in enumerate(enumerate_trees(_within("size", "tree size", args.size, SIZE_GUARD))):
             if limit is not None and i >= limit:
                 break
             print(t.text)
     elif args.verb == "count":
-        print(decimal.Decimal(count(_size(args.n))))  # str(int) stops at 4,300 digits
+        n = _within("size", "tree size", args.n, SIZE_GUARD)
+        print(decimal.Decimal(count(n)))  # str(int) stops at 4,300 digits
     elif args.verb == "inv":
         for t in _input_trees(args):
             fp = fingerprint(t)
@@ -188,15 +185,11 @@ def _dispatch(args) -> int:
             print("true" if embedding.embeds(sub, sup) else "false")
     elif args.verb == "oracle-embed":
         sub, sup = parse(args.sub), parse(args.sup)
-        guard = _guard(args, DEFAULT_ORACLE_GUARD)
-        if sup.size > guard:
-            raise ValueError(
-                f"operation-closure guard exceeded: tree has {sup.size} vertices, guard is {guard}"
-            )
+        _within("operation-closure", "host size", sup.size, _guard(args, DEFAULT_ORACLE_GUARD))
         print("true" if embedding.oracle_embeds(sub, sup) else "false")
     elif args.verb == "poset":
-        _check_universe(args.max_size, _guard(args, DEFAULT_POSET_GUARD))
-        u = minors.universe(args.max_size)
+        nmax = _within("poset", "universe bound", args.max_size, _guard(args, DEFAULT_POSET_GUARD))
+        u = minors.universe(nmax)
         report = minors.poset(u)
         if args.dot:
             _write_output(args.dot, minors.poset_to_dot(u, report))
@@ -207,23 +200,20 @@ def _dispatch(args) -> int:
     elif args.verb == "mine":
         guard = _guard(args, DEFAULT_POSET_GUARD)  # logs an override before a predicate error
         pred = minors.Predicate.parse(args.predicate)
-        _check_universe(args.max_size, guard)
-        for t in minors.minimal_excluded(pred, args.max_size):
+        for t in minors.minimal_excluded(pred, _within("poset", "universe bound", args.max_size, guard)):
             print(t.text)
     elif args.verb == "audit":
-        _check_universe(args.max_size, _guard(args, DEFAULT_POSET_GUARD))
-        violations = minors.audit_monotone(args.quantity, args.max_size)
+        nmax = _within("poset", "universe bound", args.max_size, _guard(args, DEFAULT_POSET_GUARD))
+        violations = minors.audit_monotone(args.quantity, nmax)
         for i, j in violations:
             print(f"{_universe_tree(i).text}\t{_universe_tree(j).text}")
         print(f"violations: {len(violations)}")
     elif args.verb == "classes":
-        n = _size(args.size)
-        if n > CLASSES_GUARD:
-            raise ValueError(f"classes guard exceeded: tree size {n} > guard {CLASSES_GUARD}")
-        for cls in minors.fingerprint_classes(n):
+        n = _within("size", "tree size", args.size, SIZE_GUARD)
+        for cls in minors.fingerprint_classes(_within("classes", "tree size", n, CLASSES_GUARD)):
             print(" ".join(cls))
     elif args.verb == "random":
-        print(random_tree(_size(args.size), args.seed).text)
+        print(random_tree(_within("size", "tree size", args.size, SIZE_GUARD), args.seed).text)
     return 0
 
 

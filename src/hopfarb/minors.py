@@ -94,14 +94,18 @@ class Universe:
         return len(self.trees)
 
 
+def _sizes(nmax: int) -> range:
+    if nmax < 1:
+        raise ValueError("universe bound must be >= 1")
+    return range(1, nmax + 1)
+
+
 def _trees(nmax: int) -> Iterator[PlaneTree]:
-    return chain.from_iterable(map(enumerate_trees, range(1, nmax + 1)))
+    return chain.from_iterable(map(enumerate_trees, _sizes(nmax)))
 
 
 def universe(nmax: int) -> Universe:
     """Concatenation of ``enumerate_trees(k)`` for k = 1..nmax."""
-    if nmax < 1:
-        raise ValueError("universe bound must be >= 1")
     return Universe(nmax, tuple(_trees(nmax)))
 
 
@@ -332,11 +336,9 @@ def minimal_excluded(p: Predicate, nmax: int) -> list[PlaneTree]:
     flags up too (every cover of a 4-vertex knot is one).  The embedding
     DP confirms each reduced shape once per shape, for all its sign words.
     """
-    if nmax < 1:
-        raise ValueError("universe bound must be >= 1")
     minimal: list[PlaneTree] = []
     n, below, layer = 0, [], []  # each shape's flags at the sizes n-1 and n: a violator at or below
-    for shape, covers in _walk(range(1, nmax + 1)):
+    for shape, covers in _walk(_sizes(nmax)):
         if shape.size != n:
             n, below, layer = shape.size, layer, []
             words = list(_sign_words(n))
@@ -378,8 +380,6 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}")
-    if nmax < 1:
-        raise ValueError("universe bound must be >= 1")
     q = _QUANTITIES[quantity]
     values = []
     for t, covers in _covers(_trees(nmax)):

@@ -260,8 +260,11 @@ def _unrank_shape(n: int, rank: int) -> tuple[int | None, ...]:
 
 
 def _shapes(n: int) -> Iterator[PlaneTree]:
-    # The all-'+' tree of each of the Catalan(n-1) shapes, checked, by rank.
-    return (PlaneTree((POSITIVE,) * n, _unrank_shape(n, rank)) for rank in range(count(n) >> n))
+    # The all-'+' tree of each of the Catalan(n-1) shapes, checked, by rank.  They share
+    # one labels tuple, built only once ``count`` has checked n.
+    ranks = range(count(n) >> n)
+    labels = (POSITIVE,) * n
+    return (PlaneTree(labels, _unrank_shape(n, rank)) for rank in ranks)
 
 
 def _sign_words(n: int) -> Iterator[tuple[tuple[int, ...], tuple[str, ...]]]:

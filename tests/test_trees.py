@@ -10,6 +10,7 @@ from hopfarb.embedding import embeds
 from hopfarb.trees import (
     PlaneTree,
     TreeSyntaxError,
+    _shapes,
     count,
     enumerate_trees,
     parse,
@@ -256,6 +257,13 @@ def test_enumeration_checks_each_shape_once(monkeypatch):
     monkeypatch.setattr(PlaneTree, "__post_init__", counted)
     assert len(list(enumerate_trees(6))) == 2688
     assert len(calls) == 42  # Catalan(5): one per shape, not one per tree
+
+
+def test_shapes_of_one_size_share_one_labels_tuple():
+    for n in range(2, 8):
+        shapes = list(_shapes(n))
+        assert shapes[0].labels == (1,) * n
+        assert all(s.labels is shapes[0].labels for s in shapes)
 
 
 def test_unrank_agrees_with_enumeration():
