@@ -26,7 +26,6 @@ from .trees import (
     parse,
     random_tree,
     tree_to_json,
-    unrank,
 )
 
 DEFAULT_POSET_GUARD = 6  # largest universe bound of poset, mine and audit
@@ -139,14 +138,6 @@ def _write_output(path: str, content: str) -> None:
             fh.write(content)
 
 
-def _universe_tree(i: int) -> PlaneTree:
-    # Tree i of ``minors.universe``, through the size offsets and ``unrank``.
-    n = 1
-    while i >= count(n):
-        i, n = i - count(n), n + 1
-    return unrank(n, i)
-
-
 def _fingerprint_text(fp) -> str:
     return (
         f"n={fp.n} b={fp.b} g={fp.g} sigma={fp.signature} det={fp.determinant} "
@@ -205,8 +196,9 @@ def _dispatch(args) -> int:
     elif args.verb == "audit":
         nmax = _within("poset", "universe bound", args.max_size, _guard(args, DEFAULT_POSET_GUARD))
         violations = minors.audit_monotone(args.quantity, nmax)
+        trees = violations and minors.universe(nmax).trees  # built only to name violations
         for i, j in violations:
-            print(f"{_universe_tree(i).text}\t{_universe_tree(j).text}")
+            print(f"{trees[i].text}\t{trees[j].text}")
         print(f"violations: {len(violations)}")
     elif args.verb == "classes":
         n = _within("size", "tree size", args.size, SIZE_GUARD)

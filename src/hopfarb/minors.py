@@ -15,14 +15,14 @@ trees of :func:`hopfarb.trees.reductions` are its covers.  One walk up
 the shapes gives every sweep the covers: removing a vertex sends a
 shape to a smaller one, found by its ``parents`` among those built and
 confirmed by the embedding DP once per distinct reduced shape, and each
-sign word to a sign word by index arithmetic; nothing is parsed.  The
-relation table walks back down with two bitset rows per tree, the trees
-covering it and its strict up-set, so reading the set bits row by row
-gives both pair lists in output order.
-It grows quadratically with the universe, so callers pick the bound
-(6: about 3.2k trees).  An audit keeps one value per tree and no trees,
-compares each tree with its covers, and builds the table only when a
-cover fails.  Mining keeps an int per shape of two sizes, bit s for a
+sign word to a sign word by index arithmetic; nothing is parsed, and
+a tree's position comes from the tree counts per size.  The Hasse pairs
+are the distinct covers, sorted; the relation table walks back down with
+one bitset row per tree, its strict up-set, read bit by bit in output
+order.  It grows quadratically with the universe, so callers pick the
+bound (6: about 3.2k trees).  An audit keeps one value per tree and no
+trees, compares each tree with its covers, and builds the table only
+when a cover fails.  Mining keeps an int per shape of two sizes, bit s for a
 violator at or below sign word s, spread along each cover by shifts;
 it builds a tree only for an unflagged word, where a violator is minimal.
 Fingerprint classes compute one fingerprint per unrooted, unordered
@@ -42,9 +42,8 @@ lexicographically, mined families by canonical text.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, count
+from itertools import chain
 from typing import Iterator
 
 from .embedding import embeds
@@ -64,6 +63,7 @@ from .trees import (
     _sign_words,
     _stamped,
     _without,
+    count,
     enumerate_trees,
 )
 
@@ -153,18 +153,20 @@ def _walk(sizes) -> Iterator[tuple[PlaneTree, list[tuple[int, int]]]]:
             yield shape, covers
 
 
-def _covers(trees) -> Iterator[tuple[PlaneTree, list[int]]]:
-    """Each tree of ``trees``, which runs through ``enumerate_trees(n)`` for
-    n = 1, 2, ..., with the positions in ``trees`` of its covers."""
-    walk = _walk(count(1))  # advanced at each shape's first tree, so no further than ``trees``
-    n = start = prev = 0  # the size, and the positions of its first tree and the one before
-    for pos, t in enumerate(trees):
-        if t.size != n:
-            n, prev, start = t.size, start, pos
-        s = (pos - start) & ((1 << n) - 1)
-        if not s:
-            plan = [(prev + (r << n - 1), L, (1 << L) - 1) for r, L in next(walk)[1]]
-        yield t, [base + (s >> L + 1 << L | s & low) for base, L, low in plan]
+def _covers(nmax: int) -> Iterator[list[int]]:
+    """The positions in ``universe(nmax)`` of each tree's covers, tree by tree.
+
+    Size n starts at position ``count(1) + ... + count(n-1)``, and shape R of
+    size n-1 at ``R << n-1`` from there, so each cover (R, L) of :func:`_walk`
+    gives every sign word's cover position by index arithmetic; no tree is read.
+    """
+    n, prev, start = 1, 0, 0  # the size, and the positions of its first tree and of size n-1's
+    for shape, covers in _walk(_sizes(nmax)):
+        if shape.size != n:
+            n, prev, start = shape.size, start, start + count(n)
+        plan = [(prev + (r << n - 1), L, (1 << L) - 1) for r, L in covers]
+        for s in range(1 << n):
+            yield [base + (s >> L + 1 << L | s & low) for base, L, low in plan]
 
 
 def _spread(flags: int, L: int, gaps: list[int]) -> int:
@@ -180,23 +182,21 @@ def _spread(flags: int, L: int, gaps: list[int]) -> int:
     return flags | flags << (1 << L)
 
 
-def _order(u: Universe) -> tuple[list[int], list[int]]:
-    """Hasse rows and strict up-sets of the trees of ``u``, by a backward walk.
+def _order(nmax: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """Hasse pairs and strict up-sets of the trees of ``universe(nmax)``, by a backward walk.
 
-    Bit ``j`` of ``above[i]`` is set when ``trees[i]`` is a cover of
-    ``trees[j]``, and of ``up[i]`` when ``trees[i]`` embeds strictly into
+    The Hasse pairs are the distinct (cover, tree) pairs, lexicographically.
+    Bit ``j`` of ``up[i]`` is set when ``trees[i]`` embeds strictly into
     ``trees[j]``.  Covers come earlier, so ``up[j]`` is complete when the
     walk reaches ``j``.
     """
-    covers = [c for _, c in _covers(u.trees)]
-    above = [0] * len(covers)
+    covers = list(_covers(nmax))
     up = [0] * len(covers)
     for j in range(len(covers) - 1, -1, -1):
         reach = 1 << j | up[j]
         for r in covers[j]:
-            above[r] |= 1 << j
             up[r] |= reach
-    return above, up
+    return tuple(sorted({(r, j) for j, c in enumerate(covers) for r in c})), up
 
 
 def _pairs(rows: list[int]) -> Iterator[tuple[int, int]]:
@@ -218,13 +218,12 @@ def poset(u: Universe) -> PosetReport:
     The rows grow quadratically with the universe.  On a shared 2-core
     host, bound 6 (3,238 trees) takes about 0.08 s and 22 MiB peak RSS in
     process (0.17 s and 27 MiB as a CLI run with both exports), bound 7
-    (20,134 trees) about 0.9 s and 87 MiB (1.0 s and 142 MiB).
+    (20,134 trees) about 0.9 s and 84 MiB (1.0 s and 139 MiB).
     """
-    above, up = _order(u)
+    hasse, up = _order(u.nmax)
     pairs = tuple(_pairs(up))
-    hasse = tuple(_pairs(above))
     sizes = [t.size for t in u.trees]
-    trees_per_size, spans, first = dict(Counter(sizes)), [], 0
+    trees_per_size, spans, first = {n: count(n) for n in _sizes(u.nmax)}, [], 0
     for b, c in trees_per_size.items():  # the trees come size by size
         spans.append((b, first, (1 << c) - 1))  # size b: c bits of a row from bit first
         first += c
@@ -374,23 +373,23 @@ def audit_monotone(quantity: str, nmax: int) -> list[tuple[int, int]]:
 
     A failing pair has a failing cover on the chain of reductions between
     its trees, so each tree is first compared with its covers, and only a
-    failing cover makes the scan walk the rows of :func:`poset`.  With no
-    failure, bound 7 takes about 0.11 s and 17 MiB in process on a shared
-    2-core host.
+    failing cover makes the scan walk the rows of :func:`poset`.  The
+    universe is enumerated once, by one iterator that runs on past a
+    failing cover, and never kept.  With no failure, bound 7 takes about
+    0.11 s and 17 MiB in process on a shared 2-core host.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}")
     q = _QUANTITIES[quantity]
-    values = []
-    for t, covers in _covers(_trees(nmax)):
+    values, trees = [], _trees(nmax)
+    for t, covers in zip(trees, _covers(nmax), strict=True):
         values.append(q(t))
         if any(values[c] > values[-1] for c in covers):
             break
     else:
         return []
-    u = universe(nmax)
-    values += map(q, u.trees[len(values) :])
-    _, up = _order(u)
+    values += map(q, trees)  # the trees after the failing one
+    _, up = _order(nmax)
     return [(i, j) for i, j in _pairs(up) if values[i] > values[j]]
 
 

@@ -351,11 +351,16 @@ def test_audit_reports_violations(monkeypatch, capsys):
     rel = minors.poset(u).relation_pairs
     expected = [(i, j) for i, j in rel if genus(u.trees[i]) < genus(u.trees[j])]
     assert 0 < len(expected) < len(rel)
-    assert minors.audit_monotone("genus", 3) == expected
-    # The universe is built once, by the library's fallback scan; the CLI
-    # finds the failing trees by their universe indices.
-    built = []
     universe = minors.universe
+
+    def refuse(n):
+        raise AssertionError("universe built")
+
+    # The library's fallback scan enumerates the trees once and builds no
+    # universe; the CLI builds it once, to name the failing trees.
+    monkeypatch.setattr(minors, "universe", refuse)
+    assert minors.audit_monotone("genus", 3) == expected
+    built = []
     monkeypatch.setattr(minors, "universe", lambda n: built.append(n) or universe(n))
     assert run(["audit", "--quantity", "genus", "--max-size", "3"]) == 0
     assert built == [3]
